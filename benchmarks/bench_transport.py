@@ -51,7 +51,6 @@ import numpy as np
 
 import record
 
-from repro.baselines.base import forward_reports_to_sink
 from repro.core.wire import VALUE_REPORT_BYTES
 from repro.field import make_harbor_field
 from repro.network import CostAccountant, SensorNetwork
@@ -60,7 +59,11 @@ from repro.network.routing_tree import (
     build_routing_tree,
     build_routing_tree_reference,
 )
-from repro.network.transport import EpochTransport, TransportConfig
+from repro.network.transport import (
+    EpochTransport,
+    TransportConfig,
+    forward_reports_to_sink,
+)
 
 BENCH_JSON = _HERE.parent / "BENCH_transport.json"
 
@@ -93,7 +96,7 @@ def _run_epoch(net: SensorNetwork, batched: bool, seed: int = 3):
         if node.can_sense and node.level is not None
     ]
     delivered = forward_reports_to_sink(
-        net, sources, VALUE_REPORT_BYTES, costs, transport=transport
+        net, [(s, VALUE_REPORT_BYTES) for s in sources], costs, transport=transport
     )
     degradation = transport.finalize()
     return delivered, costs, degradation

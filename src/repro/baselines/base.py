@@ -19,8 +19,8 @@ import numpy as np
 from repro.field.contours import band_of, extract_isolines
 from repro.field.grid_field import SampledGridField
 from repro.geometry import BoundingBox, Vec
-from repro.network import CostAccountant, SensorNetwork
-from repro.network.transport import DegradationReport, EpochTransport, OutFrame
+from repro.network import CostAccountant
+from repro.network.transport import DegradationReport
 
 
 @dataclass
@@ -151,135 +151,3 @@ class NearestReportBandMap:
             )
             vals[start : start + chunk] = self._val_arr[d2.argmin(axis=1)]
         return SampledGridField(self.bounds, vals.reshape(grid, grid))
-
-
-def forward_reports_to_sink(
-    network: SensorNetwork,
-    sources: Sequence[int],
-    report_bytes: int,
-    costs: CostAccountant,
-    ops_per_forward: int = 1,
-    transport: Optional[EpochTransport] = None,
-) -> List[int]:
-    """Store-and-forward of one report per source node over the transport.
-
-    Charges tx/rx on every hop and ``ops_per_forward`` at every relay (the
-    minimal store-and-forward bookkeeping that makes TinyDB the paper's
-    per-node computation lower bound).  The walk is the TAG bottom-up
-    schedule, which charges exactly what the per-source path walk charged
-    under a perfect link layer; under a fault plan the transport's
-    ARQ/CRC/dedup/re-parenting defenses apply.  Returns the sources whose
-    report reached the sink, in ``sources`` order.
-    """
-    tree = network.tree
-    if transport is None:
-        transport = EpochTransport(network, costs)
-    delivered: set = set()
-    pending: List[tuple] = []  # (source, rid) for routed non-sink sources
-    for s in sources:
-        if tree.level[s] is None:
-            continue
-        rid = transport.register()
-        if s == tree.sink:
-            # The sink's own reading needs no transmission.
-            if transport.deliver_at_sink(rid):
-                delivered.add(s)
-            continue
-        pending.append((s, rid))
-
-    if (
-        transport.engine is None
-        and transport.link_model is None
-        and transport.config.batched
-        and pending
-    ):
-        # Perfect links and no faults: every report travels its full
-        # path, so the per-hop charges collapse to subtree counts --
-        # no per-frame Python at all (what makes n=40k feasible).
-        # ``batched=False`` keeps the per-frame loop reachable for the
-        # differential tests.
-        _forward_zero_fault_analytic(
-            network, pending, report_bytes, costs, ops_per_forward,
-            transport, delivered,
-        )
-        return [s for s in sources if s in delivered]
-
-    outbox: dict = {}
-    for s, rid in pending:
-        outbox.setdefault(s, []).append((s, rid))
-
-    def frames_for(u: int) -> List[OutFrame]:
-        return [
-            OutFrame(nbytes=report_bytes, rids=(rid,), payload=src)
-            for src, rid in outbox.pop(u, ())
-        ]
-
-    def on_arrival(_sender, receiver, frame, arrived, _is_dup):
-        rid = frame.rids[0]
-        if receiver == tree.sink:
-            if transport.deliver_at_sink(rid):
-                delivered.add(frame.payload)
-        else:
-            outbox.setdefault(receiver, []).append((arrived, rid))
-
-    transport.run_collection(
-        frames_for, on_arrival, ops_per_frame=ops_per_forward
-    )
-    return [s for s in sources if s in delivered]
-
-
-def _forward_zero_fault_analytic(
-    network: SensorNetwork,
-    pending: Sequence[tuple],
-    report_bytes: int,
-    costs: CostAccountant,
-    ops_per_forward: int,
-    transport: EpochTransport,
-    delivered: set,
-) -> None:
-    """Charge the fault-free forwarding epoch in closed form.
-
-    On perfect links every pending report crosses each edge of its path
-    to the sink exactly once, so the number of frames node ``u`` sends is
-    the count of pending sources in its subtree -- computed bottom-up
-    with one scatter-add per level.  Charges are the identical integer
-    sums the per-frame walk accumulates (pinned by a differential test).
-    """
-    tree = network.tree
-    n = network.n_nodes
-    counts = np.zeros(n, dtype=np.int64)
-    for s, _rid in pending:
-        counts[s] += 1
-    parent_arr = np.array(
-        [-1 if p is None else p for p in tree.parent], dtype=np.int64
-    )
-    levels = np.array(
-        [-1 if l is None else l for l in tree.level], dtype=np.int64
-    )
-    for lvl in range(tree.depth, 0, -1):
-        members = np.flatnonzero(levels == lvl)
-        if members.size == 0:
-            continue
-        senders = members[counts[members] > 0]
-        if senders.size == 0:
-            continue
-        c = counts[senders]
-        parents = parent_arr[senders]
-        costs.charge_tx_batch(senders, c * report_bytes)
-        costs.charge_rx_batch(parents, c * report_bytes)
-        if ops_per_forward:
-            costs.charge_ops_batch(senders, c * ops_per_forward)
-        np.add.at(counts, parents, c)
-    for s, rid in pending:
-        if transport.deliver_at_sink(rid):
-            delivered.add(s)
-
-
-def disseminate_query(network: SensorNetwork, query_bytes: int, costs: CostAccountant) -> None:
-    """Flood a query down the routing tree (one broadcast per internal node)."""
-    for node in network.nodes:
-        if node.level is None or not node.alive:
-            continue
-        kids = [c for c in node.children if network.nodes[c].level is not None]
-        if kids:
-            costs.charge_local_broadcast(node.node_id, kids, query_bytes)

@@ -19,16 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.baselines.base import (
-    NearestReportBandMap,
-    ProtocolRun,
-    disseminate_query,
-)
+from repro.baselines.base import NearestReportBandMap, ProtocolRun
 from repro.core.wire import BYTES_PER_PARAM, QUERY_BYTES
 from repro.geometry import Vec, dist_sq
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultPlan
-from repro.network.transport import EpochTransport, OutFrame, TransportConfig
+from repro.network.transport import (
+    EpochTransport,
+    OutFrame,
+    TransportConfig,
+    disseminate_query,
+)
 
 from typing import Optional
 

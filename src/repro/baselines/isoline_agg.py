@@ -30,13 +30,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.baselines.base import NearestReportBandMap, ProtocolRun, disseminate_query
+from repro.baselines.base import NearestReportBandMap, ProtocolRun
 from repro.core.query import ContourQuery
 from repro.core.wire import BYTES_PER_PARAM, LOCAL_QUERY_BYTES, QUERY_BYTES, VALUE_REPORT_BYTES
 from repro.geometry import Vec, dist_sq
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultPlan
-from repro.network.transport import EpochTransport, OutFrame, TransportConfig
+from repro.network.transport import (
+    EpochTransport,
+    OutFrame,
+    TransportConfig,
+    disseminate_query,
+)
 
 #: A value-only probe reply (the neighbour's reading).
 VALUE_REPLY_BYTES = 1 * BYTES_PER_PARAM

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Set
 
-from repro.baselines.base import (
-    NearestReportBandMap,
-    ProtocolRun,
-    disseminate_query,
-    forward_reports_to_sink,
-)
+from repro.baselines.base import NearestReportBandMap, ProtocolRun
 from repro.core.wire import QUERY_BYTES, VALUE_REPORT_BYTES
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultPlan
-from repro.network.transport import EpochTransport, TransportConfig
+from repro.network.transport import (
+    EpochTransport,
+    TransportConfig,
+    disseminate_query,
+    forward_reports_to_sink,
+)
 
 #: Ops per similarity comparison against a candidate representative.
 OPS_PER_COMPARISON = 2
@@ -76,13 +76,14 @@ class DataSuppressionProtocol:
         transport = EpochTransport(
             network, costs, config=self.transport_config, plan=self.fault_plan
         )
-        delivered = forward_reports_to_sink(
+        sources = sorted(representatives)
+        arrived = forward_reports_to_sink(
             network,
-            sorted(representatives),
-            VALUE_REPORT_BYTES,
+            [(s, VALUE_REPORT_BYTES) for s in sources],
             costs,
             transport=transport,
         )
+        delivered = [sources[i] for i in arrived]
         degradation = transport.finalize()
         costs.reports_generated = len(representatives)
         costs.reports_delivered = len(delivered)

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.baselines.base import (
-    NearestReportBandMap,
-    ProtocolRun,
-    disseminate_query,
-    forward_reports_to_sink,
-)
+from repro.baselines.base import NearestReportBandMap, ProtocolRun
 from repro.core.wire import GRID_REPORT_BYTES, QUERY_BYTES, VALUE_REPORT_BYTES
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultPlan
-from repro.network.transport import EpochTransport, TransportConfig
+from repro.network.transport import (
+    EpochTransport,
+    TransportConfig,
+    disseminate_query,
+    forward_reports_to_sink,
+)
 
 
 class TinyDBProtocol:
@@ -73,9 +73,13 @@ class TinyDBProtocol:
         transport = EpochTransport(
             network, costs, config=self.transport_config, plan=self.fault_plan
         )
-        delivered = forward_reports_to_sink(
-            network, sources, self.report_bytes, costs, transport=transport
+        arrived = forward_reports_to_sink(
+            network,
+            [(s, self.report_bytes) for s in sources],
+            costs,
+            transport=transport,
         )
+        delivered = [sources[i] for i in arrived]
         degradation = transport.finalize()
         costs.reports_generated = len(sources)
         costs.reports_delivered = len(delivered)

@@ -18,6 +18,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -136,6 +137,13 @@ def _experiment_registry() -> Dict[str, Callable]:
         "ext_continuous": lambda jobs, cache: run_continuous_monitoring(),
         "ext_localization": lambda jobs, cache: run_localized_isomap(seeds=(1,)),
     }
+
+
+def _cache_dir(path: str) -> str:
+    """``--cache`` argument type: a directory, or a path not yet created."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} exists and is not a directory")
+    return path
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -392,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--jobs", type=int, default=1,
                        help="worker processes for sweep experiments "
                        "(results are identical at any job count)")
-    p_exp.add_argument("--cache", default=None, metavar="DIR",
+    p_exp.add_argument("--cache", type=_cache_dir, default=None, metavar="DIR",
                        help="cache sweep-point results in DIR and reuse them")
     p_exp.add_argument("--profile", action="store_true",
                        help="print a stage timing breakdown after the table "

@@ -13,11 +13,15 @@ report cache at the sink:
   by more than ``angle_delta_deg``;
 - a node that stops being an isoline node sends a small *retraction*
   (its position only), and the sink evicts the cached report;
-- the sink updates the contour map from the cache each epoch -- by
-  default *incrementally*, splicing the delta into a retained per-level
-  map (:class:`repro.core.contour_map.SinkReconstructor`, bit-identical
-  to a from-scratch rebuild) rather than paying the full Voronoi +
-  boundary cost for the mostly-unchanged remainder.
+- deltas and retractions travel hop by hop up the routing tree through
+  the shared store-and-forward epoch
+  (:func:`repro.network.transport.forward_reports_to_sink`), the same
+  path TinyDB and data suppression charge their reports on;
+- the sink updates the contour map from the cache each epoch
+  *incrementally*, splicing the delta into a retained per-level map
+  (:class:`repro.core.contour_map.SinkReconstructor`, bit-identical to a
+  from-scratch rebuild) rather than paying the full Voronoi + boundary
+  cost for the mostly-unchanged remainder.
 
 In steady state traffic collapses to the churn rate; after a local event
 only the affected stretch of isolines re-reports.  This is the natural
@@ -44,18 +48,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro import profiling
-from repro.core.contour_map import ContourMap, SinkReconstructor, build_contour_map
+from repro.core.contour_map import ContourMap, SinkReconstructor
 from repro.core.detection import detect_isoline_nodes
 from repro.core.prediction import PredictionConfig, PredictorBank
 from repro.core.protocol import IsoMapProtocol
 from repro.core.query import ContourQuery
 from repro.core.reports import IsolineReport
-from repro.core.wire import BYTES_PER_PARAM
+from repro.core.wire import BYTES_PER_PARAM, QUERY_BYTES
 from repro.geometry import Vec, angle_between
 from repro.network import CostAccountant, SensorNetwork
+from repro.network.transport import disseminate_query, forward_reports_to_sink
 
 #: A retraction carries the source position only (x, y).
 RETRACTION_BYTES = 2 * BYTES_PER_PARAM
@@ -123,14 +126,6 @@ class ContinuousIsoMap:
         angle_delta_deg: gradient-direction change (degrees) above which
             a node re-reports; the value trade-off mirrors the filter's
             ``s_a``.
-        regulate: apply boundary regulation when rebuilding maps.
-        incremental: when True (default) the sink applies each epoch's
-            delta to a retained per-level map via
-            :class:`~repro.core.contour_map.SinkReconstructor` instead of
-            rebuilding from scratch; the resulting maps are bit-identical
-            either way (the reconstructor's contract).
-        full_rebuild_threshold: dirty-cell fraction above which the
-            incremental sink falls back to a full per-level rebuild.
         prediction: enable model-predictive suppression with this
             :class:`~repro.core.prediction.PredictionConfig`.  ``None``
             (the default) runs the original epoch-delta protocol
@@ -141,24 +136,14 @@ class ContinuousIsoMap:
         self,
         query: ContourQuery,
         angle_delta_deg: float = 10.0,
-        regulate: bool = True,
-        incremental: bool = True,
-        full_rebuild_threshold: float = 0.35,
-        simplify_tolerance: float = 0.0,
         prediction: Optional[PredictionConfig] = None,
     ):
         if angle_delta_deg < 0:
             raise ValueError("angle_delta_deg must be non-negative")
         self.query = query
         self.angle_delta_rad = math.radians(angle_delta_deg)
-        self.regulate = regulate
-        self.incremental = incremental
-        self.full_rebuild_threshold = full_rebuild_threshold
-        #: Forwarded to every epoch's ContourMap: > 0 makes its
-        #: ``isolines()`` return tolerance-bounded simplifications.
-        self.simplify_tolerance = simplify_tolerance
         self.prediction = prediction
-        self._protocol = IsoMapProtocol(query, regulate=regulate)
+        self._protocol = IsoMapProtocol(query)
         self._node_state: Dict[int, IsolineReport] = {}
         self._sink_cache: Dict[int, IsolineReport] = {}
         self._reconstructor: Optional[SinkReconstructor] = None
@@ -170,10 +155,6 @@ class ContinuousIsoMap:
         #: Current isoline membership (source -> position), kept for the
         #: prediction path's retraction decisions.
         self._members: Dict[int, Vec] = {}
-        #: Sink-path memo (the satellite perf fix): paths from every
-        #: visited source to the sink, shared-suffix cached per tree.
-        self._path_cache: Dict[int, np.ndarray] = {}
-        self._path_tree: Optional[object] = None
 
     @property
     def cache_size(self) -> int:
@@ -191,8 +172,7 @@ class ContinuousIsoMap:
 
     @property
     def reconstructor(self) -> Optional[SinkReconstructor]:
-        """The incremental sink state (None before the first epoch, or
-        when running with ``incremental=False``)."""
+        """The incremental sink state (None before the first epoch)."""
         return self._reconstructor
 
     def epoch(self, network: SensorNetwork) -> EpochResult:
@@ -200,7 +180,7 @@ class ContinuousIsoMap:
         costs = CostAccountant(network.n_nodes)
         if self._first_epoch:
             # The standing query is flooded once.
-            self._protocol._disseminate_query(network, costs)
+            disseminate_query(network, QUERY_BYTES, costs)
             self._first_epoch = False
 
         detection = detect_isoline_nodes(network, self.query, costs)
@@ -229,7 +209,7 @@ class ContinuousIsoMap:
 
             # Transmit deltas and retractions hop by hop (no
             # cross-filtering; see module docstring).
-            delivered_reports, _ = self._forward(
+            delivered_reports, _ = _send_deltas(
                 network, new_reports, retractions, costs
             )
             for r in delivered_reports:
@@ -252,7 +232,7 @@ class ContinuousIsoMap:
                 retractions = bank.decide_retractions(leaving, current)
             self._members = {s: r.position for s, r in current.items()}
             suppressed = predicted
-            delivered_reports, delivered_retractions = self._forward(
+            delivered_reports, delivered_retractions = _send_deltas(
                 network, new_reports, retractions, costs
             )
             # The mirrored fold: only what the sink actually received
@@ -277,27 +257,13 @@ class ContinuousIsoMap:
 
         sink_node = network.nodes[network.sink_index]
         sink_value = sink_node.value if sink_node.can_sense else None
-        if self.incremental:
-            if self._reconstructor is None:
-                self._reconstructor = SinkReconstructor(
-                    self.query.isolevels,
-                    network.bounds,
-                    regulate=self.regulate,
-                    full_rebuild_threshold=self.full_rebuild_threshold,
-                    simplify_tolerance=self.simplify_tolerance,
-                )
-            contour_map = self._reconstructor.reconstruct(
-                list(self._sink_cache.values()), sink_value=sink_value
+        if self._reconstructor is None:
+            self._reconstructor = SinkReconstructor(
+                self.query.isolevels, network.bounds
             )
-        else:
-            contour_map = build_contour_map(
-                list(self._sink_cache.values()),
-                self.query.isolevels,
-                network.bounds,
-                sink_value=sink_value,
-                regulate=self.regulate,
-                simplify_tolerance=self.simplify_tolerance,
-            )
+        contour_map = self._reconstructor.reconstruct(
+            list(self._sink_cache.values()), sink_value=sink_value
+        )
         self._epochs_run += 1
         return EpochResult(
             contour_map=contour_map,
@@ -325,104 +291,25 @@ class ContinuousIsoMap:
             <= self.angle_delta_rad
         )
 
-    def _path(self, tree, source: int) -> np.ndarray:
-        """Memoized sink path for ``source`` under the current tree.
 
-        ``RoutingTree.path_to_sink`` walks the parent chain on every
-        call; across epochs the tree is stable, so the monitor caches
-        each walked path -- and, because every suffix of a sink path is
-        itself a sink path, caches all its suffixes too, making later
-        lookups along the same branch O(1).  The cache is invalidated
-        whenever the network adopts a new tree object (e.g. a rebuild
-        after crash failures).
-        """
-        if tree is not self._path_tree:
-            self._path_tree = tree
-            self._path_cache = {}
-        cache = self._path_cache
-        path = cache.get(source)
-        if path is None:
-            raw = tree.path_to_sink(source)
-            for i in range(len(raw)):
-                node = raw[i]
-                if node in cache:
-                    break
-                cache[node] = np.asarray(raw[i:], dtype=np.int64)
-            path = cache[source]
-        return path
+def _send_deltas(
+    network: SensorNetwork,
+    reports: List[IsolineReport],
+    retractions: List[int],
+    costs: CostAccountant,
+) -> Tuple[List[IsolineReport], List[int]]:
+    """Carry one epoch's deltas and retractions to the sink.
 
-    def _forward(
-        self,
-        network: SensorNetwork,
-        reports: List[IsolineReport],
-        retractions: List[int],
-        costs: CostAccountant,
-    ) -> Tuple[List[IsolineReport], List[int]]:
-        """Charge hop-by-hop delivery of deltas and retractions.
-
-        Batched accounting over memoized sink paths: per-node totals are
-        integers, so one ``np.add.at`` scatter per direction charges the
-        exact amounts the scalar hop walk (kept as
-        :meth:`_forward_reference`) would -- pinned equal by the
-        cost-equality differential in ``tests/core/test_continuous.py``.
-
-        Returns ``(delivered reports, delivered retraction sources)``
-        (a disconnected source transmits into the void either way).
-        """
-        tree = network.tree
-        delivered: List[IsolineReport] = []
-        delivered_retractions: List[int] = []
-        tx_parts: List[np.ndarray] = []
-        rx_parts: List[np.ndarray] = []
-        nbytes_parts: List[np.ndarray] = []
-
-        def charge(source: int, nbytes: int) -> bool:
-            if tree.level[source] is None:
-                return False
-            path = self._path(tree, source)
-            hops = len(path) - 1
-            if hops > 0:
-                tx_parts.append(path[:-1])
-                rx_parts.append(path[1:])
-                nbytes_parts.append(np.full(hops, nbytes, dtype=np.int64))
-            return True
-
-        for r in reports:
-            if charge(r.source, r.wire_bytes):
-                delivered.append(r)
-        for source in retractions:
-            if charge(source, RETRACTION_BYTES):
-                delivered_retractions.append(source)
-        if nbytes_parts:
-            nbytes = np.concatenate(nbytes_parts)
-            costs.charge_tx_batch(np.concatenate(tx_parts), nbytes)
-            costs.charge_rx_batch(np.concatenate(rx_parts), nbytes)
-        return delivered, delivered_retractions
-
-    def _forward_reference(
-        self,
-        network: SensorNetwork,
-        reports: List[IsolineReport],
-        retractions: List[int],
-        costs: CostAccountant,
-    ) -> Tuple[List[IsolineReport], List[int]]:
-        """The original per-hop walk (the differential baseline for
-        :meth:`_forward`; same delivery results, same per-node charges)."""
-        tree = network.tree
-        delivered: List[IsolineReport] = []
-        delivered_retractions: List[int] = []
-        for r in reports:
-            if tree.level[r.source] is None:
-                continue
-            path = tree.path_to_sink(r.source)
-            for u, v in zip(path[:-1], path[1:]):
-                costs.charge_hop(u, v, r.wire_bytes)
-            delivered.append(r)
-        for source in retractions:
-            if tree.level[source] is None:
-                continue
-            path = tree.path_to_sink(source)
-            for u, v in zip(path[:-1], path[1:]):
-                costs.charge_hop(u, v, RETRACTION_BYTES)
-            delivered_retractions.append(source)
-        return delivered, delivered_retractions
+    One store-and-forward epoch over the shared transport; relays charge
+    no ops for delta frames.  Returns ``(delivered reports, delivered
+    retraction sources)`` (a disconnected source transmits into the void
+    either way).
+    """
+    frames = [(r.source, r.wire_bytes) for r in reports]
+    frames += [(source, RETRACTION_BYTES) for source in retractions]
+    arrived = forward_reports_to_sink(network, frames, costs, ops_per_forward=0)
+    k = len(reports)
+    return (
+        [reports[i] for i in arrived if i < k],
+        [retractions[i - k] for i in arrived if i >= k],
+    )

@@ -32,7 +32,6 @@ from repro.core.reconstruction import (
 )
 from repro.core.reports import IsolineReport
 from repro.geometry import BoundingBox, Vec
-from repro.geometry.simplify import simplify_isolines
 
 
 @dataclass
@@ -47,19 +46,12 @@ class ContourMap:
             field (no reports, but higher-level evidence or the sink's own
             reading says the field exceeds the level everywhere reports
             could have come from).
-        simplify_tolerance: when > 0, :meth:`isolines` returns
-            tolerance-bounded simplifications of the reconstructed
-            polylines (topology-guarded, see
-            :func:`repro.geometry.simplify.simplify_isolines`) instead
-            of the dense originals.  Classification is unaffected -- the
-            regions themselves are not simplified.
     """
 
     bounds: BoundingBox
     levels: List[float]
     regions: Dict[float, LevelRegion] = field(default_factory=dict)
     full_levels: List[float] = field(default_factory=list)
-    simplify_tolerance: float = 0.0
 
     # ------------------------------------------------------------------
     # Classification
@@ -120,18 +112,11 @@ class ContourMap:
     # ------------------------------------------------------------------
 
     def isolines(self, level: float, regulated: bool = True) -> List[List[Vec]]:
-        """Estimated isoline polylines at one level (empty if no region).
-
-        With a positive :attr:`simplify_tolerance` the polylines are
-        simplified to that Hausdorff tolerance before being returned.
-        """
+        """Estimated isoline polylines at one level (empty if no region)."""
         region = self.regions.get(level)
         if region is None:
             return []
-        lines = region.isoline_polylines(regulated=regulated)
-        if self.simplify_tolerance > 0.0:
-            lines = simplify_isolines(lines, self.simplify_tolerance)
-        return lines
+        return region.isoline_polylines(regulated=regulated)
 
     def report_count(self) -> int:
         """Total reports used across all levels (after dedup)."""
@@ -144,7 +129,6 @@ def build_contour_map(
     bounds: BoundingBox,
     sink_value: Optional[float] = None,
     regulate: bool = True,
-    simplify_tolerance: float = 0.0,
 ) -> ContourMap:
     """Assemble the full map from delivered reports.
 
@@ -155,7 +139,6 @@ def build_contour_map(
         sink_value: the sink's own sensed value, used to disambiguate
             all-empty levels (see module docstring).
         regulate: apply Rules 1-2 to each level's boundary.
-        simplify_tolerance: forwarded to :attr:`ContourMap.simplify_tolerance`.
     """
     levels = sorted(levels)
     by_level: Dict[float, List[IsolineReport]] = {v: [] for v in levels}
@@ -163,9 +146,7 @@ def build_contour_map(
         if r.isolevel in by_level:
             by_level[r.isolevel].append(r)
 
-    cmap = ContourMap(
-        bounds=bounds, levels=list(levels), simplify_tolerance=simplify_tolerance
-    )
+    cmap = ContourMap(bounds=bounds, levels=list(levels))
     for i, v in enumerate(levels):
         if by_level[v]:
             cmap.regions[v] = build_level_region(
@@ -199,26 +180,11 @@ class SinkReconstructor:
     it no longer belongs to.
     """
 
-    def __init__(
-        self,
-        levels: Sequence[float],
-        bounds: BoundingBox,
-        regulate: bool = True,
-        full_rebuild_threshold: float = 0.35,
-        simplify_tolerance: float = 0.0,
-    ):
+    def __init__(self, levels: Sequence[float], bounds: BoundingBox):
         self.levels = sorted(levels)
         self.bounds = bounds
-        self.regulate = regulate
-        self.simplify_tolerance = simplify_tolerance
         self._caches: Dict[float, ReconstructionCache] = {
-            v: ReconstructionCache(
-                v,
-                bounds,
-                regulate=regulate,
-                full_rebuild_threshold=full_rebuild_threshold,
-            )
-            for v in self.levels
+            v: ReconstructionCache(v, bounds) for v in self.levels
         }
         #: Wall-clock seconds of the most recent :meth:`reconstruct`.
         self.last_seconds: float = 0.0
@@ -253,11 +219,7 @@ class SinkReconstructor:
             if r.isolevel in by_level:
                 by_level[r.isolevel].append(r)
 
-        cmap = ContourMap(
-            bounds=self.bounds,
-            levels=list(self.levels),
-            simplify_tolerance=self.simplify_tolerance,
-        )
+        cmap = ContourMap(bounds=self.bounds, levels=list(self.levels))
         cells_total = 0
         cells_recomputed = 0
         full_rebuilds = 0

@@ -33,6 +33,7 @@ from repro.network.transport import (
     EpochTransport,
     OutFrame,
     TransportConfig,
+    disseminate_query,
 )
 
 #: Ops charged for the two-point fallback direction estimate.
@@ -164,7 +165,7 @@ class IsoMapProtocol:
     def run(self, network: SensorNetwork) -> IsoMapResult:
         """Execute one full contour-mapping epoch."""
         costs = CostAccountant(network.n_nodes)
-        self._disseminate_query(network, costs)
+        disseminate_query(network, QUERY_BYTES, costs)
         detection = detect_isoline_nodes(network, self.query, costs)
         generated = self._generate_reports(network, detection, costs)
         tiling = None
@@ -214,21 +215,6 @@ class IsoMapProtocol:
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
-
-    def _disseminate_query(
-        self, network: SensorNetwork, costs: CostAccountant
-    ) -> None:
-        """Flood the query down the tree: one broadcast per internal node."""
-        for node in network.nodes:
-            if node.level is None or not node.alive:
-                continue
-            reachable_children = [
-                c for c in node.children if network.nodes[c].level is not None
-            ]
-            if reachable_children:
-                costs.charge_local_broadcast(
-                    node.node_id, reachable_children, QUERY_BYTES
-                )
 
     def _generate_reports(
         self,

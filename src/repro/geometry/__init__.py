@@ -61,13 +61,10 @@ from repro.geometry.polyline import (
 from repro.geometry.simplify import (
     chain_points,
     polyline_deviation,
-    ring_self_intersects,
-    simplify_isolines,
     simplify_polyline,
     simplify_polyline_reference,
     simplify_ring,
     simplify_ring_reference,
-    simplify_rings,
 )
 
 __all__ = [
@@ -108,11 +105,8 @@ __all__ = [
     "stitch_segments_into_loops",
     "chain_points",
     "polyline_deviation",
-    "ring_self_intersects",
-    "simplify_isolines",
     "simplify_polyline",
     "simplify_polyline_reference",
     "simplify_ring",
     "simplify_ring_reference",
-    "simplify_rings",
 ]

@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.primitives import Vec, dist
-from repro.geometry.simplify import simplify_polyline, simplify_polyline_reference
 
 #: Segment kind labels used by the reconstruction pipeline.
 TYPE1 = 1  #: lies on a cut line (perpendicular to a report's gradient)
@@ -56,19 +55,11 @@ def polyline_length(points: Sequence[Vec]) -> float:
     return sum(dist(points[i], points[i + 1]) for i in range(len(points) - 1))
 
 
-def resample_polyline(
-    points: Sequence[Vec], spacing: float, simplify_tolerance: float = 0.0
-) -> List[Vec]:
+def resample_polyline(points: Sequence[Vec], spacing: float) -> List[Vec]:
     """Points along the polyline at (approximately) uniform ``spacing``.
 
     Always includes the first and last input points.  Used to turn estimated
     and true isolines into point sets for the Hausdorff-distance metric.
-
-    With a positive ``simplify_tolerance`` the polyline is first reduced
-    by :func:`repro.geometry.simplify.simplify_polyline_reference` (the
-    scalar half of the simplifier pair; :func:`resample_polyline_fast`
-    uses the vectorized half, and the pair is bit-identical, so the
-    pre-simplified input to both resamplers is the same vertex list).
 
     Deviation contract with :func:`resample_polyline_fast` -- this is
     the ONE kernel pair in the repo that is *not* pinned bit-identical,
@@ -95,8 +86,6 @@ def resample_polyline(
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    if simplify_tolerance > 0.0:
-        points = simplify_polyline_reference(points, simplify_tolerance)
     if len(points) == 0:
         return []
     if len(points) == 1:
@@ -122,9 +111,7 @@ def resample_polyline(
     return out
 
 
-def resample_polyline_fast(
-    points: Sequence[Vec], spacing: float, simplify_tolerance: float = 0.0
-) -> List[Vec]:
+def resample_polyline_fast(points: Sequence[Vec], spacing: float) -> List[Vec]:
     """Vectorized :func:`resample_polyline` (cumulative-arclength sampling).
 
     Mathematically identical to the scalar walk -- samples sit at global
@@ -134,15 +121,9 @@ def resample_polyline_fast(
     one boundary sample; common-prefix samples agree to 1e-6; both keep
     the endpoints) is documented on :func:`resample_polyline` and bounded
     by a property test; the Hausdorff metric is insensitive to it.
-
-    ``simplify_tolerance`` pre-simplifies with the *vectorized*
-    simplifier half -- bit-identical to the scalar half the reference
-    resampler uses, so the pre-step never widens the deviation contract.
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    if simplify_tolerance > 0.0:
-        points = simplify_polyline(points, simplify_tolerance)
     n = len(points)
     if n == 0:
         return []

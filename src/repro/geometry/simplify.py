@@ -1,9 +1,9 @@
 """Tolerance-bounded isoline simplification (minimum-link style).
 
 Reconstructed isolines are *dense* polylines -- one vertex per boundary
-segment the merge step produced -- so anything that ships them (the
-serving layer's wire payloads, figure exports, the Hausdorff resampler)
-pays an order of magnitude more bytes than the geometry requires.  This
+segment the merge step produced -- so shipping them (the serving
+layer's wire payloads) costs an order of magnitude more bytes than the
+geometry requires.  This
 module implements the ROADMAP's "minimum-link isoline simplification"
 stage, grounded in *Scalable Isocontour Visualization in Road Networks
 via Minimum-Link Paths* (arXiv:1602.01777): a Douglas-Peucker-style
@@ -30,14 +30,6 @@ Closed rings (:func:`simplify_ring`) are split at two anchor vertices
 (the first vertex and the vertex farthest from it), each arc simplified
 independently, and rejoined -- orientation and the starting vertex are
 preserved, and the per-arc guarantee carries over to the ring.
-
-Topology safety (:func:`simplify_rings`), motivated by the
-contour-tree work in *Some theoretical results on discrete contour
-trees* (arXiv:2206.12123): a simplification that introduces a
-self-intersection or flips the nesting relation between two rings is
-*rejected* -- the offending rings fall back to their originals -- so a
-simplified level set is always a valid (possibly less smooth) contour
-family, never a topologically different one.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.polygon import point_in_polygon
 from repro.geometry.primitives import Vec
 
 __all__ = [
@@ -54,10 +45,7 @@ __all__ = [
     "simplify_polyline",
     "simplify_ring_reference",
     "simplify_ring",
-    "simplify_rings",
-    "simplify_isolines",
     "polyline_deviation",
-    "ring_self_intersects",
     "chain_points",
 ]
 
@@ -296,140 +284,6 @@ def simplify_ring_reference(points: Sequence[Vec], tolerance: float) -> List[Vec
 def simplify_ring(points: Sequence[Vec], tolerance: float) -> List[Vec]:
     """Vectorized ring simplification, bit-identical to the reference."""
     return _simplify_ring_with(points, tolerance, simplify_polyline)
-
-
-# ----------------------------------------------------------------------
-# Topology guard
-# ----------------------------------------------------------------------
-
-
-def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _segments_cross(p1: Vec, p2: Vec, q1: Vec, q2: Vec) -> bool:
-    """True when the open segments properly intersect (shared endpoints
-    and pure collinear touching do not count)."""
-    d1 = _orient(q1[0], q1[1], q2[0], q2[1], p1[0], p1[1])
-    d2 = _orient(q1[0], q1[1], q2[0], q2[1], p2[0], p2[1])
-    d3 = _orient(p1[0], p1[1], p2[0], p2[1], q1[0], q1[1])
-    d4 = _orient(p1[0], p1[1], p2[0], p2[1], q2[0], q2[1])
-    return ((d1 > 0) != (d2 > 0)) and (d1 != 0) and (d2 != 0) and (
-        (d3 > 0) != (d4 > 0)
-    ) and (d3 != 0) and (d4 != 0)
-
-
-def ring_self_intersects(points: Sequence[Vec]) -> bool:
-    """True when any two non-adjacent edges of the ring properly cross.
-
-    O(k^2) over the (simplified, therefore small) ring.
-    """
-    n = len(points)
-    if n < 4:
-        return False
-    edges = [(points[i], points[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # adjacent around the wrap
-            if _segments_cross(edges[i][0], edges[i][1], edges[j][0], edges[j][1]):
-                return True
-    return False
-
-
-def _nesting_matrix(rings: Sequence[Sequence[Vec]]) -> List[List[bool]]:
-    """``m[i][j]`` = ring i's first vertex lies inside ring j."""
-    n = len(rings)
-    m = [[False] * n for _ in range(n)]
-    for i in range(n):
-        p = rings[i][0]
-        for j in range(n):
-            if i != j and len(rings[j]) >= 3:
-                m[i][j] = point_in_polygon(rings[j], p)
-    return m
-
-
-def simplify_rings(
-    rings: Sequence[Sequence[Vec]],
-    tolerance: float,
-    reference: bool = False,
-) -> List[List[Vec]]:
-    """Simplify a family of closed rings, topology-safely.
-
-    Each ring is simplified independently (:func:`simplify_ring`); a
-    ring whose simplification self-intersects, or whose simplification
-    flips any pairwise nesting relation (tested on the rings' retained
-    first vertices, which every simplification keeps), is *reverted* to
-    its original geometry.  Reversion loops until the nesting matrix is
-    stable, so the returned family always has the input's topology.
-
-    Args:
-        rings: vertex lists, closed implicitly (no repeated last point).
-        tolerance: the Hausdorff budget per ring.
-        reference: run the scalar kernel pair (for differential tests).
-    """
-    ring_fn = simplify_ring_reference if reference else simplify_ring
-    originals = [[(p[0], p[1]) for p in r] for r in rings]
-    simplified = [ring_fn(r, tolerance) for r in originals]
-    for i, s in enumerate(simplified):
-        if ring_self_intersects(s):
-            simplified[i] = originals[i]
-    if len(rings) > 1:
-        want = _nesting_matrix(originals)
-        for _ in range(len(rings)):
-            have = _nesting_matrix(simplified)
-            bad = sorted(
-                {
-                    k
-                    for i in range(len(rings))
-                    for j in range(len(rings))
-                    if want[i][j] != have[i][j]
-                    for k in (i, j)
-                }
-            )
-            if not bad:
-                break
-            changed = False
-            for k in bad:
-                if simplified[k] is not originals[k]:
-                    simplified[k] = originals[k]
-                    changed = True
-            if not changed:  # pragma: no cover - input itself inconsistent
-                break
-    return simplified
-
-
-def simplify_isolines(
-    polylines: Sequence[Sequence[Vec]],
-    tolerance: float,
-    close_tol: float = 1e-9,
-) -> List[List[Vec]]:
-    """Simplify a level's isoline family (mixed open runs and rings).
-
-    Reconstruction emits open runs (loops are cut where they touch the
-    field border) and, when a loop closes inside the field, polylines
-    whose first and last vertices coincide.  A polyline whose endpoints
-    coincide within ``close_tol`` is treated as an explicitly closed
-    ring -- it goes through :func:`simplify_rings` with the other rings
-    of its level (topology guard included) and comes back with the
-    closing vertex restored.  Open runs get plain endpoint-anchored DP.
-    """
-    ring_idx: List[int] = []
-    rings: List[Sequence[Vec]] = []
-    out: List[Optional[List[Vec]]] = [None] * len(polylines)
-    for i, line in enumerate(polylines):
-        if len(line) >= 4 and (
-            abs(line[0][0] - line[-1][0]) <= close_tol
-            and abs(line[0][1] - line[-1][1]) <= close_tol
-        ):
-            ring_idx.append(i)
-            rings.append(line[:-1])
-        else:
-            out[i] = simplify_polyline(line, tolerance)
-    if rings:
-        for i, ring in zip(ring_idx, simplify_rings(rings, tolerance)):
-            out[i] = ring + [ring[0]]
-    return [line for line in out if line is not None]
 
 
 # ----------------------------------------------------------------------

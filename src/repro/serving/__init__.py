@@ -3,7 +3,7 @@
 ``repro.serving`` turns the simulator's sink pipeline into a service:
 long-lived :class:`MapSession` tasks run
 :class:`~repro.core.continuous.ContinuousIsoMap` epochs (sharded across
-worker processes by :class:`ShardPool`), publish wire-encoded results
+worker processes by :class:`SupervisedShardPool`), publish wire-encoded results
 through a per-session :class:`MapStore`, and serve two client paths via
 the :class:`MapService` router --
 
@@ -62,7 +62,7 @@ from repro.serving.errors import (
     UnknownQueryError,
     WireFormatError,
 )
-from repro.serving.router import MapService, ShardPool
+from repro.serving.router import MapService
 from repro.serving.session import (
     MapSession,
     SessionCompute,
@@ -136,7 +136,6 @@ __all__ = [
     "ShardCrashError",
     "ShardHangError",
     "ShardHealth",
-    "ShardPool",
     "ShardResultCorrupted",
     "ShardResultDropped",
     "ShardSupervisor",

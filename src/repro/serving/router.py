@@ -1,13 +1,4 @@
-"""The async front door: session sharding and the service router.
-
-:class:`ShardPool` spreads session compute across worker processes, one
-single-worker :class:`~concurrent.futures.ProcessPoolExecutor` per
-shard.  A session is pinned to its shard by a stable hash of its query
-id, so its epochs always run sequentially in the same process and the
-worker-side state table (:mod:`repro.serving.worker`) stays warm.  With
-``n_shards = 0`` the same worker function runs in the event loop's
-default thread executor instead -- byte-identical payloads either way
-(the sharding-determinism tests pin inline vs. 1-shard vs. 2-shard).
+"""The async front door: the service router over sharded sessions.
 
 :class:`MapService` is the single async router in front of the shards:
 it owns one :class:`~repro.serving.session.MapSession` per standing
@@ -15,76 +6,28 @@ query and exposes the two client paths -- ``snapshot(query_id)`` and
 ``subscribe(query_id, since_epoch)`` -- plus lifecycle control
 (``start_all`` / ``advance_all`` / ``stop``).
 
-Since PR 7 the service routes compute through a
-:class:`~repro.serving.supervisor.SupervisedShardPool` -- the
-self-healing wrapper with per-request deadlines, crash/hang recovery,
+Compute runs through a
+:class:`~repro.serving.supervisor.SupervisedShardPool`: one
+single-worker process per shard, a session pinned to its shard by a
+stable hash of its query id (so the worker-side state table of
+:mod:`repro.serving.worker` stays warm), or inline in the event loop's
+default executor with ``n_shards = 0`` -- byte-identical payloads either
+way (the sharding-determinism tests pin inline vs. 1-shard vs.
+2-shard).  The pool adds per-request deadlines, crash/hang recovery,
 retries and per-shard circuit breakers (see
-:mod:`repro.serving.supervisor`).  The plain :class:`ShardPool` remains
-for direct, unsupervised use; both close without ever hanging.
+:mod:`repro.serving.supervisor`), and closes without ever hanging.
 """
 
 from __future__ import annotations
 
 import asyncio
-import zlib
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.serving.chaos import ChaosPlan
 from repro.serving.errors import UnknownQueryError
 from repro.serving.session import MapSession, SessionConfig, Subscription
-from repro.serving.supervisor import (
-    SupervisedShardPool,
-    SupervisorConfig,
-    drain_executor,
-)
+from repro.serving.supervisor import SupervisedShardPool, SupervisorConfig
 from repro.serving.wire import ENCODING_PLAIN, ServedMessage
-from repro.serving.worker import compute_epoch
-
-
-class ShardPool:
-    """Process-sharded (or inline) epoch compute.
-
-    Args:
-        n_shards: worker processes; ``0`` computes inline in the default
-            thread executor (no extra processes -- the CI/test mode).
-    """
-
-    def __init__(self, n_shards: int = 0):
-        if n_shards < 0:
-            raise ValueError("n_shards must be >= 0")
-        self.n_shards = n_shards
-        self._pools: List[ProcessPoolExecutor] = [
-            ProcessPoolExecutor(max_workers=1) for _ in range(n_shards)
-        ]
-
-    def shard_of(self, query_id: str) -> int:
-        """The shard a query id is pinned to (stable across runs)."""
-        if not self._pools:
-            return 0
-        return zlib.crc32(query_id.encode("utf-8")) % len(self._pools)
-
-    async def compute(self, config: SessionConfig, epoch: int) -> Dict[str, Any]:
-        """Run one session epoch on the owning shard (or inline)."""
-        loop = asyncio.get_running_loop()
-        executor = (
-            self._pools[self.shard_of(config.query_id)] if self._pools else None
-        )
-        return await loop.run_in_executor(
-            executor, compute_epoch, config.to_dict(), epoch
-        )
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Shut the shards down; never hangs.
-
-        Workers get ``timeout`` seconds to join; stragglers (wedged or
-        killed-but-unreaped processes) are SIGKILLed.  A plain
-        ``shutdown(wait=True)`` here could block ``MapService.stop()``
-        forever behind one stuck worker.
-        """
-        pools, self._pools = self._pools, []
-        for pool in pools:
-            drain_executor(pool, timeout)
 
 
 class MapService:
@@ -94,8 +37,7 @@ class MapService:
         configs: one :class:`SessionConfig` per standing query.
         n_shards: worker processes for the shard pool (0 = inline).
         supervision: deadlines/retry/breaker tuning for the supervised
-            pool (None = production defaults; behaviourally identical to
-            the plain pool on the zero-failure path).
+            pool (None = production defaults).
         chaos: a seeded :class:`~repro.serving.chaos.ChaosPlan` to
             inject failures between the supervisor and the workers
             (None = no injection).

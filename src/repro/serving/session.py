@@ -503,7 +503,7 @@ class MapSession:
     Args:
         config: the session's deterministic identity.
         pool: the shard pool epochs are computed through (see
-            :class:`repro.serving.router.ShardPool`).
+            :class:`repro.serving.supervisor.SupervisedShardPool`).
         retention: store retention window (epochs).
         snapshot_cache_size / cache_enabled: rendered-snapshot LRU.
         queue_depth: per-subscriber bounded queue size.

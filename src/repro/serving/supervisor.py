@@ -1,9 +1,9 @@
 """Shard supervision: deadlines, crash/hang detection, respawn, retries.
 
-PR 6's :class:`~repro.serving.router.ShardPool` assumed perfect workers:
-a crashed or wedged shard process stalled ``compute`` forever and took
-every session pinned to it down with it.  This module wraps the same
-sharded layout in a self-healing control loop:
+A plain process-sharded pool assumes perfect workers: a crashed or
+wedged shard process stalls ``compute`` forever and takes every session
+pinned to it down with it.  This module runs the sharded layout in a
+self-healing control loop:
 
 - every compute attempt runs under a **per-request deadline**
   (:attr:`SupervisorConfig.compute_timeout`); a worker that crashes
@@ -333,13 +333,11 @@ class ShardSupervisor:
 
 
 class SupervisedShardPool:
-    """Self-healing drop-in for :class:`~repro.serving.router.ShardPool`.
+    """Self-healing process-sharded epoch compute.
 
-    Same sharding (stable crc32 pinning, ``n_shards = 0`` = inline) and
-    the same deterministic payloads, plus the supervision loop described
-    in the module docstring.  With default supervision and no chaos the
-    zero-failure path is behaviourally identical to the plain pool --
-    pinned by the pre-existing serving test suite running through it.
+    Stable crc32 pinning of sessions to shards (``n_shards = 0`` =
+    inline) with deterministic payloads, plus the supervision loop
+    described in the module docstring.
 
     Args:
         n_shards: worker processes; 0 computes inline.

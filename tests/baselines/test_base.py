@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines.base import (
-    NearestReportBandMap,
-    disseminate_query,
-    forward_reports_to_sink,
-)
+from repro.baselines.base import NearestReportBandMap
 from repro.field import PlaneField
 from repro.geometry import BoundingBox
 from repro.network import CostAccountant, SensorNetwork
+from repro.network.transport import disseminate_query, forward_reports_to_sink
 
 BOX = BoundingBox(0, 0, 10, 10)
 
@@ -75,7 +72,7 @@ class TestForwarding:
     def test_bytes_proportional_to_hops(self):
         net = self._net()
         costs = CostAccountant(net.n_nodes)
-        forward_reports_to_sink(net, [4], report_bytes=10, costs=costs)
+        forward_reports_to_sink(net, [(4, 10)], costs=costs)
         # Node 4 is 4 hops from the sink: 4 transmissions, 4 receptions.
         assert costs.tx_bytes.sum() == 40
         assert costs.rx_bytes.sum() == 40
@@ -86,13 +83,13 @@ class TestForwarding:
         positions = [(0.5, 5.0), (1.5, 5.0), (9.5, 5.0)]  # node 2 isolated
         net = SensorNetwork(field, positions, radio_range=1.2, sink_index=0)
         costs = CostAccountant(net.n_nodes)
-        delivered = forward_reports_to_sink(net, [1, 2], 10, costs)
-        assert delivered == [1]
+        delivered = forward_reports_to_sink(net, [(1, 10), (2, 10)], costs)
+        assert delivered == [0]  # frame indices: only node 1's arrived
 
     def test_relay_ops_charged(self):
         net = self._net()
         costs = CostAccountant(net.n_nodes)
-        forward_reports_to_sink(net, [4], 10, costs, ops_per_forward=3)
+        forward_reports_to_sink(net, [(4, 10)], costs, ops_per_forward=3)
         assert costs.ops[1] == 3  # relay
         assert costs.ops[4] == 3  # source transmission bookkeeping
 

@@ -1,9 +1,11 @@
 """Unit tests for the continuous-monitoring (epoch-delta) extension."""
 
+import numpy as np
 import pytest
 
 from repro.core import ContourQuery
 from repro.core.continuous import ContinuousIsoMap
+from repro.core.contour_map import build_contour_map
 from repro.field import CompositeField, GaussianBumpField, RadialField
 from repro.geometry import BoundingBox
 from repro.network import SensorNetwork
@@ -186,37 +188,36 @@ class TestZeroIsolineEpochs:
     def test_all_retract_then_recover(self):
         """Populated -> empty -> repopulated: the incremental sink must
         reset on the empty epoch and rebuild from scratch after it,
-        matching the non-incremental monitor bit for bit."""
-        net_inc = radial_net(seed=3)
-        net_full = radial_net(seed=3)
-        mon_inc = monitor()
-        mon_full = ContinuousIsoMap(
-            ContourQuery(14.0, 16.0, 2.0, epsilon_fraction=0.2),
-            angle_delta_deg=10.0,
-            incremental=False,
-        )
+        matching a from-scratch map of the sink cache bit for bit."""
+        net = radial_net(seed=3)
+        mon = monitor()
         fields = [
-            net_inc.field,
+            net.field,
             RadialField(BOX, center=(10, 10), peak=5, slope=0.1),  # empty
             RadialField(BOX, center=(10, 10), peak=20, slope=1),  # recover
         ]
+        cached = []
         for f in fields:
-            net_inc.resense(f)
-            net_full.resense(f)
-            r_inc = mon_inc.epoch(net_inc)
-            r_full = mon_full.epoch(net_full)
-            assert sorted(r_inc.retractions) == sorted(r_full.retractions)
-            import numpy as np
-
-            assert np.array_equal(
-                r_inc.contour_map.classify_raster(30, 30),
-                r_full.contour_map.classify_raster(30, 30),
+            net.resense(f)
+            r = mon.epoch(net)
+            cached.append(mon.cache_size)
+            full = build_contour_map(
+                mon.sink_reports,
+                mon.query.isolevels,
+                net.bounds,
+                sink_value=r.sink_value,
             )
+            assert sorted(r.contour_map.regions) == sorted(full.regions)
+            assert r.contour_map.full_levels == full.full_levels
+            assert np.array_equal(
+                r.contour_map.classify_raster(30, 30),
+                full.classify_raster(30, 30),
+            )
+        assert cached[0] > 0 and cached[1] == 0 and cached[2] > 0
         # The empty epoch reset the per-level caches; the recovery epoch
         # was therefore a full rebuild, not a splice against stale cells.
-        assert mon_inc.reconstructor is not None
-        assert mon_inc.reconstructor.last_full_rebuilds >= 1
-        assert mon_inc.cache_size > 0
+        assert mon.reconstructor is not None
+        assert mon.reconstructor.last_full_rebuilds >= 1
 
 
 class TestAngleThreshold:

@@ -7,15 +7,12 @@ Covers the PR's committed behaviour at the monitor level:
   dead-reckoning-off baseline on a steadily drifting field;
 - sink staleness never exceeds the heartbeat cap;
 - the sink cache mirrors the bank (``cache_updates``/``cache_removed``
-  fold reproduces the cache exactly);
-- the batched ``_forward`` charges per-node costs exactly equal to the
-  scalar ``_forward_reference`` hop walk, including across a routing
-  tree rebuild (path-cache invalidation).
+  fold reproduces the cache exactly).
+
+Per-epoch delivery costs are pinned by
+``tests/core/test_continuous_costs_golden.py``.
 """
 
-import random
-
-import numpy as np
 import pytest
 
 from repro.core import ContourQuery
@@ -24,7 +21,6 @@ from repro.core.prediction import PredictionConfig
 from repro.field import RadialField
 from repro.geometry import BoundingBox
 from repro.network import SensorNetwork
-from repro.network.accounting import CostAccountant
 
 BOX = BoundingBox(0, 0, 20, 20)
 
@@ -175,73 +171,3 @@ class TestPredictionProfiling:
         assert any(k.startswith("prediction.") for k in snap), (
             f"no prediction.* stage merged from workers: {sorted(snap)}"
         )
-
-
-class TestForwardDifferential:
-    def _run_pair(self, fault=None):
-        """Run the same epoch stream through _forward and
-        _forward_reference, comparing per-node cost vectors exactly."""
-        net_a, net_b = make_net(), make_net()
-        mon = make_monitor()
-        for e in range(6):
-            for net in (net_a, net_b):
-                net.resense(drifting_field(e))
-            if fault is not None and e == 3:
-                for net in (net_a, net_b):
-                    fault(net)
-            # Recompute the same epoch's deltas on both networks; charge
-            # one through each twin.
-            costs_a = CostAccountant(net_a.n_nodes)
-            costs_b = CostAccountant(net_b.n_nodes)
-            r = mon.epoch(net_a)  # drives node state forward once
-            reports = r.delivered_reports
-            retractions = r.retractions
-            delivered_fast = mon._forward(net_a, reports, retractions, costs_a)
-            delivered_ref = mon._forward_reference(
-                net_b, reports, retractions, costs_b
-            )
-            assert [x.source for x in delivered_fast[0]] == [
-                x.source for x in delivered_ref[0]
-            ]
-            assert delivered_fast[1] == delivered_ref[1]
-            np.testing.assert_array_equal(costs_a.tx_bytes, costs_b.tx_bytes)
-            np.testing.assert_array_equal(costs_a.rx_bytes, costs_b.rx_bytes)
-
-    def test_costs_equal_on_steady_drift(self):
-        self._run_pair()
-
-    def test_costs_equal_across_tree_rebuild(self):
-        def crash(net):
-            net.fail_random(0.05, random.Random(99), mode="crash")
-
-        self._run_pair(fault=crash)
-
-    def test_path_cache_invalidated_on_new_tree(self):
-        net = make_net()
-        mon = make_monitor()
-        mon.epoch(net)
-        old_tree = net.tree
-        assert mon._path_tree is old_tree
-        assert mon._path_cache
-        net.fail_random(0.05, random.Random(5), mode="crash")
-        assert net.tree is not old_tree
-        net.resense(drifting_field(1))
-        mon.epoch(net)
-        assert mon._path_tree is net.tree
-
-    def test_path_suffix_sharing(self):
-        net = make_net()
-        mon = make_monitor()
-        tree = net.tree
-        # Find a source with a path of length >= 3 and check its suffixes
-        # land in the cache.
-        for source in range(net.n_nodes):
-            if tree.level[source] is None:
-                continue
-            raw = tree.path_to_sink(source)
-            if len(raw) >= 3:
-                break
-        path = mon._path(tree, source)
-        assert path.tolist() == raw
-        for i in range(1, len(raw)):
-            assert mon._path_cache[raw[i]].tolist() == raw[i:]

@@ -77,8 +77,9 @@ def serving_stream(scenario: str, explicit_off: bool = False):
     return rows
 
 
-def faulted_stream(explicit_off: bool = False):
-    """Per-epoch digests of a direct monitor run under moderate faults."""
+def faulted_epochs(explicit_off: bool = False):
+    """Yield ``(epoch, codec, result)`` of a direct monitor run under
+    moderate faults."""
     from repro.core.codec import ReportCodec
     from repro.core.continuous import ContinuousIsoMap
     from repro.network import SensorNetwork
@@ -98,7 +99,6 @@ def faulted_stream(explicit_off: bool = False):
         **_monitor_kwargs(explicit_off),
     )
     codec = ReportCodec.for_query(query, network.bounds)
-    rows = []
     for epoch in range(1, EPOCHS + 1):
         if epoch == 3:
             # A sensing-failure wave: nodes stop reporting but keep routing.
@@ -107,7 +107,13 @@ def faulted_stream(explicit_off: bool = False):
             # A crash wave: nodes drop out and the tree is rebuilt.
             network.fail_random(0.05, random.Random(99), mode="crash")
         network.resense(field_for_epoch(config, epoch))
-        result = monitor.epoch(network)
+        yield epoch, codec, monitor.epoch(network)
+
+
+def faulted_stream(explicit_off: bool = False):
+    """Per-epoch digests of a direct monitor run under moderate faults."""
+    rows = []
+    for epoch, codec, result in faulted_epochs(explicit_off):
         h = hashlib.sha256()
         for report in result.delivered_reports:
             h.update(codec.encode(report))

@@ -11,9 +11,7 @@ The contract under test (module docstring of
 - **identity**: tolerance 0 returns the input unchanged (the serving
   byte-identity differentials lean on this);
 - **idempotence**: simplifying a simplified curve is a no-op;
-- **topology**: ring simplification preserves orientation and the
-  guarded family simplifier never emits a self-intersecting ring or a
-  broken nesting.
+- **orientation**: ring simplification preserves the ring's orientation.
 """
 
 import math
@@ -26,13 +24,10 @@ from hypothesis import strategies as st
 from repro.geometry.simplify import (
     chain_points,
     polyline_deviation,
-    ring_self_intersects,
-    simplify_isolines,
     simplify_polyline,
     simplify_polyline_reference,
     simplify_ring,
     simplify_ring_reference,
-    simplify_rings,
 )
 
 coords = st.floats(
@@ -154,7 +149,7 @@ def test_negative_tolerance_rejected():
 
 
 # ----------------------------------------------------------------------
-# Ring topology: orientation, self-intersection, nesting
+# Ring orientation
 # ----------------------------------------------------------------------
 
 
@@ -173,52 +168,6 @@ def test_ring_orientation_preserved(ccw):
         s = simplify_ring(ring, tol)
         assert len(s) >= 3
         assert (signed_area(s) > 0) == (signed_area(ring) > 0)
-
-
-def test_simplify_rings_never_self_intersects():
-    rings = [noisy_ring(150, seed=s, noise=1.2) for s in range(8)]
-    for tol in (0.5, 2.0, 5.0):
-        for s in simplify_rings(rings, tol):
-            assert not ring_self_intersects(s)
-
-
-def test_simplify_rings_preserves_nesting():
-    outer = noisy_ring(200, seed=1, noise=0.3)
-    inner = [(0.35 * x, 0.35 * y) for x, y in noisy_ring(120, seed=2, noise=0.1)]
-    for tol in (0.5, 2.0):
-        s_outer, s_inner = simplify_rings([outer, inner], tol)
-        # Every kept inner vertex still inside the kept outer ring is the
-        # guarded invariant; the guard falls back to originals otherwise.
-        from repro.geometry.polygon import point_in_polygon
-
-        assert all(point_in_polygon(s_outer, p) for p in s_inner)
-
-
-# ----------------------------------------------------------------------
-# simplify_isolines: the mixed open/closed entry point
-# ----------------------------------------------------------------------
-
-
-def test_simplify_isolines_handles_open_and_closed():
-    ring = noisy_ring(100, seed=9)
-    closed = ring + [ring[0]]  # explicit closing vertex, as regions emit
-    open_line = wiggly_line(100, seed=9)
-    out = simplify_isolines([closed, open_line], 0.5)
-    assert len(out) == 2
-    s_closed, s_open = out
-    # The closed polyline stays explicitly closed and shrinks.
-    assert s_closed[0] == s_closed[-1]
-    assert 3 < len(s_closed) < len(closed)
-    # The open polyline keeps its endpoints.
-    assert s_open[0] == open_line[0] and s_open[-1] == open_line[-1]
-    assert len(s_open) < len(open_line)
-
-
-def test_simplify_isolines_tolerance_zero_identity():
-    lines = [wiggly_line(30, seed=2), noisy_ring(20, seed=2)]
-    assert simplify_isolines(lines, 0.0) == [
-        [(p[0], p[1]) for p in line] for line in lines
-    ]
 
 
 # ----------------------------------------------------------------------

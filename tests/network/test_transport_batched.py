@@ -22,9 +22,9 @@ from repro.baselines import (
     INLRProtocol,
     TinyDBProtocol,
 )
-from repro.baselines.base import forward_reports_to_sink
 from repro.baselines.isoline_agg import IsolineAggregationProtocol
 from repro.core import ContourQuery, FilterConfig, IsoMapProtocol
+from repro.core.continuous import RETRACTION_BYTES
 from repro.core.wire import VALUE_REPORT_BYTES
 from repro.field import RadialField
 from repro.geometry import BoundingBox
@@ -34,7 +34,11 @@ from repro.network.faults import (
     FaultPlan,
     GilbertElliottLink,
 )
-from repro.network.transport import EpochTransport, TransportConfig
+from repro.network.transport import (
+    EpochTransport,
+    TransportConfig,
+    forward_reports_to_sink,
+)
 
 BOX = BoundingBox(0, 0, 20, 20)
 LEVELS = [14.0, 16.0]
@@ -149,40 +153,96 @@ class TestBatchedMatchesScalar:
         _differential("tinydb", None, TransportConfig.hardened())
 
 
+def _forward_both_ways(make_frames, ops_per_forward=3):
+    """Forward the same frames through the zero-fault closed form
+    (batched) and the per-frame walk (``batched=False``); assert both
+    charge identical integers and return the fast run's evidence."""
+
+    def run(batched):
+        net, frames = make_frames()
+        costs = CostAccountant(net.n_nodes)
+        transport = EpochTransport(
+            net,
+            costs,
+            config=dataclasses.replace(
+                TransportConfig.hardened(), batched=batched
+            ),
+        )
+        delivered = forward_reports_to_sink(
+            net, frames, costs,
+            ops_per_forward=ops_per_forward, transport=transport,
+        )
+        deg = transport.finalize()
+        return (
+            delivered,
+            costs.tx_bytes.tobytes(),
+            costs.rx_bytes.tobytes(),
+            costs.ops.tobytes(),
+            dataclasses.asdict(deg),
+        )
+
+    fast = run(True)
+    assert fast == run(False)
+    return fast
+
+
+def _sensing_sources(net):
+    return [
+        node.node_id
+        for node in net.nodes
+        if node.can_sense and node.level is not None
+    ]
+
+
+def _delta_frames(net):
+    """One monitor epoch's frames: isoline reports at their wire size,
+    then position-only retractions (one from a reporting source too)."""
+    reports = IsoMapProtocol(QUERY, FilterConfig.disabled()).run(net)
+    frames = [(r.source, r.wire_bytes) for r in reports.generated_reports]
+    reporting = {s for s, _ in frames}
+    retracting = [
+        s for s in _sensing_sources(net) if s not in reporting
+    ][::9] + [frames[0][0], net.sink_index]
+    return frames + [(s, RETRACTION_BYTES) for s in retracting]
+
+
 class TestZeroFaultAnalytic:
     def test_analytic_forwarding_matches_per_frame_walk(self):
         # forward_reports_to_sink collapses the zero-fault epoch to
-        # closed-form subtree counts when batched; the per-frame walk
+        # closed-form subtree sums when batched; the per-frame walk
         # (batched=False) must charge the identical integers.
-        def run(batched):
+        def make():
             net = radial_grid_net(seed=2)
-            costs = CostAccountant(net.n_nodes)
-            transport = EpochTransport(
-                net,
-                costs,
-                config=dataclasses.replace(
-                    TransportConfig.hardened(), batched=batched
-                ),
-            )
-            sources = [
-                node.node_id
-                for node in net.nodes
-                if node.can_sense and node.level is not None
-            ]
-            delivered = forward_reports_to_sink(
-                net, sources, VALUE_REPORT_BYTES, costs,
-                ops_per_forward=3, transport=transport,
-            )
-            deg = transport.finalize()
-            return (
-                delivered,
-                costs.tx_bytes.tobytes(),
-                costs.rx_bytes.tobytes(),
-                costs.ops.tobytes(),
-                dataclasses.asdict(deg),
-            )
+            return net, [(s, VALUE_REPORT_BYTES) for s in _sensing_sources(net)]
 
-        assert run(True) == run(False)
+        _forward_both_ways(make)
+
+    def test_mixed_frame_sizes_reports_and_retractions(self):
+        def make():
+            net = radial_net(seed=4)
+            return net, _delta_frames(net)
+
+        net, frames = make()
+        assert len({size for _, size in frames}) >= 2
+        assert sum(size == RETRACTION_BYTES for _, size in frames) >= 3
+        delivered, *_ = _forward_both_ways(make, ops_per_forward=0)
+        # Indices address frames, so a source's report and retraction are
+        # delivered separately.
+        assert delivered == sorted(delivered)
+        assert len({frames[i][0] for i in delivered}) < len(delivered)
+
+    def test_tree_rebuilt_after_crashes(self):
+        def make():
+            net = radial_net(seed=5)
+            frames = [(s, VALUE_REPORT_BYTES) for s in _sensing_sources(net)]
+            net.fail_random(0.1, random.Random(99), mode="crash")
+            return net, frames
+
+        net, frames = make()
+        unrouted = [s for s, _ in frames if net.tree.level[s] is None]
+        assert unrouted  # crashed sources (and any cut-off survivors)
+        delivered, *_ = _forward_both_ways(make)
+        assert len(delivered) == len(frames) - len(unrouted)
 
 
 class TestRepairTraffic:

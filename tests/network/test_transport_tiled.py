@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.base import forward_reports_to_sink
 from repro.core import ContourQuery, FilterConfig, IsoMapProtocol
 from repro.core.wire import VALUE_REPORT_BYTES
 from repro.field import RadialField
@@ -25,7 +24,11 @@ from repro.geometry import BoundingBox
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultPlan
 from repro.network.tiling import TilePartition
-from repro.network.transport import EpochTransport, TransportConfig
+from repro.network.transport import (
+    EpochTransport,
+    TransportConfig,
+    forward_reports_to_sink,
+)
 
 BOX = BoundingBox(0, 0, 20, 20)
 QUERY = ContourQuery(14.0, 16.0, 2.0, epsilon_fraction=0.2)
@@ -159,7 +162,7 @@ class TestTransportLevelTiling:
                 if node.can_sense and node.level is not None
             ]
             delivered = forward_reports_to_sink(
-                net, sources, VALUE_REPORT_BYTES, costs,
+                net, [(s, VALUE_REPORT_BYTES) for s in sources], costs,
                 ops_per_forward=3, transport=transport,
             )
             deg = transport.finalize()

@@ -11,8 +11,9 @@ import pytest
 
 from repro.serving import worker
 from repro.serving.errors import UnknownQueryError
-from repro.serving.router import MapService, ShardPool
+from repro.serving.router import MapService
 from repro.serving.session import SessionCompute, SessionConfig
+from repro.serving.supervisor import SupervisedShardPool
 
 CONFIGS = [
     SessionConfig(query_id="alpha", n_nodes=300, seed=1, scenario="storm"),
@@ -42,7 +43,7 @@ def test_sharded_streams_match_inline(n_shards):
 
 
 def test_shard_pinning_is_stable():
-    pool = ShardPool(n_shards=3)
+    pool = SupervisedShardPool(3)
     try:
         for qid in ("alpha", "beta", "gamma", "delta"):
             assert pool.shard_of(qid) == pool.shard_of(qid)

@@ -25,7 +25,7 @@ from repro.serving.errors import (
     EpochComputeFailed,
     ShardUnavailableError,
 )
-from repro.serving.router import MapService, ShardPool
+from repro.serving.router import MapService
 from repro.serving.session import SessionConfig
 from repro.serving.supervisor import (
     CircuitBreaker,
@@ -288,27 +288,16 @@ def test_probe_detects_wedged_worker_and_ensure_healthy_heals():
 
 
 @pytest.mark.deadline(30)
-def test_shard_pool_close_kills_wedged_worker():
+def test_supervised_pool_close_kills_wedged_worker():
     """Regression: ``close()`` used to ``shutdown(wait=True)``, hanging
     forever behind a wedged worker.  Now stragglers are killed."""
-    pool = ShardPool(n_shards=1)
-    pool._pools[0].submit(wedge, 60.0)
+    pool = SupervisedShardPool(1, supervision=FAST)
+    pool.supervisors[0].executor().submit(wedge, 60.0)
     time.sleep(0.2)  # let the worker pick the task up
     t0 = time.monotonic()
     pool.close(timeout=1.0)
     assert time.monotonic() - t0 < 10.0
     pool.close(timeout=1.0)  # idempotent
-
-
-@pytest.mark.deadline(30)
-def test_supervised_pool_close_kills_wedged_worker():
-    pool = SupervisedShardPool(1, supervision=FAST)
-    pool.supervisors[0].executor().submit(wedge, 60.0)
-    time.sleep(0.2)
-    t0 = time.monotonic()
-    pool.close(timeout=1.0)
-    assert time.monotonic() - t0 < 10.0
-    pool.close(timeout=1.0)
 
 
 @pytest.mark.deadline(30)

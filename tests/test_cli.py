@@ -20,6 +20,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_cache_pointing_at_a_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "not-a-dir"
+        path.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig11a", "--cache", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--cache" in err
+        assert str(path) in err
+
+    def test_cache_directory_may_not_exist_yet(self, tmp_path):
+        args = build_parser().parse_args(
+            ["experiment", "fig11a", "--cache", str(tmp_path / "new")]
+        )
+        assert args.cache == str(tmp_path / "new")
+
 
 class TestCommands:
     def test_map_runs(self, capsys):
