@@ -148,7 +148,6 @@ class ContinuousIsoMap:
         self._sink_cache: Dict[int, IsolineReport] = {}
         self._reconstructor: Optional[SinkReconstructor] = None
         self._first_epoch = True
-        self._epochs_run = 0
         self._bank: Optional[PredictorBank] = (
             None if prediction is None else PredictorBank(prediction)
         )
@@ -159,11 +158,6 @@ class ContinuousIsoMap:
     @property
     def cache_size(self) -> int:
         return len(self._sink_cache)
-
-    @property
-    def epochs_run(self) -> int:
-        """How many epochs this monitor has processed."""
-        return self._epochs_run
 
     @property
     def sink_reports(self) -> List[IsolineReport]:
@@ -264,7 +258,6 @@ class ContinuousIsoMap:
         contour_map = self._reconstructor.reconstruct(
             list(self._sink_cache.values()), sink_value=sink_value
         )
-        self._epochs_run += 1
         return EpochResult(
             contour_map=contour_map,
             costs=costs,

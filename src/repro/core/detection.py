@@ -83,32 +83,9 @@ def detect_isoline_nodes(
         if isolevel is None:
             continue
         result.candidates.append(node.node_id)
-
-        # The candidate probes its neighbourhood: one broadcast, heard by
-        # alive 1-hop neighbours; sensing-capable k-hop neighbours reply
-        # with (value, x, y).  Multi-hop replies relay through the
-        # neighbourhood, charged per hop below for k == 1 (the default);
-        # for k > 1 we conservatively charge k hops per reply.
-        alive_nbrs = network.alive_neighbors(node.node_id)
-        costs.charge_local_broadcast(node.node_id, alive_nbrs, LOCAL_QUERY_BYTES)
-        responders = network.k_hop_sensing_neighbors(node.node_id, query.k_hop)
-        one_hop_ids = (
-            frozenset(network.neighbor_lists[node.node_id])
-            if query.k_hop > 1
-            else None
+        result.neighborhood_data[node.node_id] = _probe_neighborhood(
+            network, node.node_id, query.k_hop, costs
         )
-        data: List[Tuple[Vec, float]] = []
-        for j in responders:
-            hops = 1 if one_hop_ids is None or j in one_hop_ids else query.k_hop
-            # A reply travelling h hops is transmitted and received h
-            # times.  The relaying neighbours' identities are routing
-            # details we do not simulate at this granularity, so the
-            # extra hops are charged to the endpoints as proxies -- the
-            # network-wide byte totals stay exact.
-            costs.charge_tx(j, LOCAL_REPLY_BYTES * hops)
-            costs.charge_rx(node.node_id, LOCAL_REPLY_BYTES * hops)
-            data.append((network.nodes[j].app_position, network.nodes[j].value))
-        result.neighborhood_data[node.node_id] = data
 
         # Condition 2: some 1-hop neighbour straddles the isolevel.
         straddles = False
@@ -193,13 +170,36 @@ def detect_isoline_nodes_straddle(
     # Phase 3: appointed nodes probe for (value, x, y) tuples to feed the
     # regression, exactly as in border mode.
     for node_id in result.isoline_nodes:
-        alive_nbrs = network.alive_neighbors(node_id)
-        costs.charge_local_broadcast(node_id, alive_nbrs, LOCAL_QUERY_BYTES)
-        responders = network.k_hop_sensing_neighbors(node_id, query.k_hop)
-        data = []
-        for j in responders:
-            costs.charge_tx(j, LOCAL_REPLY_BYTES)
-            costs.charge_rx(node_id, LOCAL_REPLY_BYTES)
-            data.append((network.nodes[j].app_position, network.nodes[j].value))
-        result.neighborhood_data[node_id] = data
+        result.neighborhood_data[node_id] = _probe_neighborhood(
+            network, node_id, query.k_hop, costs
+        )
     return result
+
+
+def _probe_neighborhood(
+    network: SensorNetwork, node_id: int, k_hop: int, costs: CostAccountant
+) -> List[Tuple[Vec, float]]:
+    """One local probe: returns the (position, value) replies it collects.
+
+    The prober broadcasts once, heard by its alive 1-hop neighbours;
+    every sensing-capable node within ``k_hop`` hops replies with
+    (value, x, y).  A reply from a 1-hop neighbour is charged one hop; a
+    reply from farther out is conservatively charged ``k_hop`` hops.
+    """
+    costs.charge_local_broadcast(
+        node_id, network.alive_neighbors(node_id), LOCAL_QUERY_BYTES
+    )
+    responders = network.k_hop_sensing_neighbors(node_id, k_hop)
+    one_hop_ids = frozenset(network.neighbor_lists[node_id]) if k_hop > 1 else None
+    data: List[Tuple[Vec, float]] = []
+    for j in responders:
+        hops = 1 if one_hop_ids is None or j in one_hop_ids else k_hop
+        # A reply travelling h hops is transmitted and received h times.
+        # The relaying neighbours' identities are routing details we do
+        # not simulate at this granularity, so the extra hops are charged
+        # to the endpoints as proxies -- the network-wide byte totals
+        # stay exact.
+        costs.charge_tx(j, LOCAL_REPLY_BYTES * hops)
+        costs.charge_rx(node_id, LOCAL_REPLY_BYTES * hops)
+        data.append((network.nodes[j].app_position, network.nodes[j].value))
+    return data

@@ -26,7 +26,6 @@ from repro.core.reports import IsolineReport
 from repro.core.wire import QUERY_BYTES
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultEngine, FaultPlan
-from repro.network.links import LossyLinkModel
 from repro.network.tiling import TilePartition
 from repro.network.transport import (
     DegradationReport,
@@ -108,15 +107,10 @@ class IsoMapProtocol:
             ``"linear"`` (the paper's choice, Eq. 2) or ``"quadratic"``
             (the richer model Section 3.3 mentions; falls back to linear
             on neighbourhoods too small for six coefficients).
-        link_model: optional lossy-link model for the report collection
-            phase (the paper assumes perfect links; see
-            :mod:`repro.network.links`).  Retransmission attempts are
-            charged and exhausted reports are lost in transit.
-        link_seed: seed for the link-loss randomness (kept separate from
-            deployment randomness so runs stay reproducible).
         fault_plan: optional :class:`FaultPlan` applied during collection
-            (mid-epoch crashes, burst loss, corruption, duplication);
-            mutually exclusive with ``link_model``.
+            (link loss, mid-epoch crashes, corruption, duplication); the
+            paper assumes perfect links, and e.g. ``FaultPlan(seed=s,
+            link=BernoulliLink(p))`` prices that assumption.
         transport_config: defense knobs of the collection transport;
             defaults to every defense on (which charges nothing extra at
             zero faults).
@@ -136,8 +130,6 @@ class IsoMapProtocol:
         filter_config: Optional[FilterConfig] = None,
         regulate: bool = True,
         regression: str = "linear",
-        link_model: Optional["LossyLinkModel"] = None,
-        link_seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         transport_config: Optional[TransportConfig] = None,
         tile_size: Optional[float] = None,
@@ -151,8 +143,6 @@ class IsoMapProtocol:
         )
         self.regulate = regulate
         self.regression = regression
-        self.link_model = link_model
-        self.link_seed = link_seed
         self.fault_plan = fault_plan
         self.transport_config = transport_config
         self.tile_size = tile_size
@@ -182,8 +172,6 @@ class IsoMapProtocol:
             costs,
             config=self.transport_config,
             plan=self.fault_plan,
-            link_model=self.link_model,
-            link_seed=self.link_seed,
             mangler=make_report_mangler(self.query, network.bounds),
             tiling=tiling,
             tile_jobs=self.tile_jobs,

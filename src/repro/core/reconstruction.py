@@ -52,7 +52,6 @@ from repro.geometry.polyline import (
     TYPE1,
     TYPE2,
     BoundarySegment,
-    loop_points,
     stitch_segments_into_loops,
 )
 from repro.geometry.voronoi import CellLocality, VoronoiCell, recompute_cell
@@ -163,11 +162,6 @@ class LevelRegion:
     def area(self) -> float:
         """Area of the merged inner parts (pre-regulation)."""
         return sum(poly.area() for poly in self.inner_polys)
-
-    def boundary_polylines(self, regulated: bool = True) -> List[List[Vec]]:
-        """Closed boundary rings as vertex lists."""
-        loops = self.regulated_loops if regulated else self.loops
-        return [loop_points(lp) for lp in loops if len(lp) >= 2]
 
     def isoline_polylines(self, regulated: bool = True) -> List[List[Vec]]:
         """The estimated *isolines*: boundary runs excluding field-border

@@ -28,8 +28,9 @@ from repro.experiments.common import (
 )
 from repro.field import CompositeField, GaussianBumpField, make_harbor_field
 from repro.metrics import mapping_accuracy
-from repro.network.links import LossyLinkModel
+from repro.network.faults import BernoulliLink, FaultPlan
 from repro.network.localization import clear_localization, localize
+from repro.network.transport import TransportConfig
 
 
 def run_lossy_links(
@@ -38,7 +39,13 @@ def run_lossy_links(
     max_retries: int = 3,
     seeds: Sequence[int] = (1, 2),
 ) -> ExperimentResult:
-    """Delivery and energy under per-hop loss, with and without ARQ."""
+    """Delivery and energy under per-hop loss, with and without ARQ.
+
+    Each attempt on a hop is lost with probability ``loss``
+    (:class:`BernoulliLink` in a :class:`FaultPlan` seeded per
+    deployment); "no ARQ" is a single attempt per hop, "ARQ" allows
+    ``max_retries`` retransmissions.
+    """
     field = make_harbor_field()
     result = ExperimentResult(
         experiment_id="ext_lossy_links",
@@ -58,13 +65,17 @@ def run_lossy_links(
             net = harbor_network(n, "random", seed=seed, field=field)
             baseline = IsoMapProtocol(PAPER_QUERY, PAPER_FILTER).run(net)
             base_count = max(1, len(baseline.delivered_reports))
-            configs = (
-                ("0", LossyLinkModel(1.0 - loss, 0) if loss > 0 else None),
-                ("1", LossyLinkModel(1.0 - loss, max_retries) if loss > 0 else None),
+            plan = (
+                FaultPlan(seed=seed, link=BernoulliLink(1.0 - loss))
+                if loss > 0
+                else None
             )
-            for tag, model in configs:
+            for tag, retries in (("0", 0), ("1", max_retries)):
                 iso = IsoMapProtocol(
-                    PAPER_QUERY, PAPER_FILTER, link_model=model, link_seed=seed
+                    PAPER_QUERY,
+                    PAPER_FILTER,
+                    fault_plan=plan,
+                    transport_config=TransportConfig(max_retries=retries),
                 ).run(net)
                 per["d" + tag].append(len(iso.delivered_reports) / base_count)
                 per["e" + tag].append(

@@ -9,7 +9,7 @@ error, Fig. 7) and :meth:`sample_grid` (for ground-truth contour maps).
 from __future__ import annotations
 
 import abc
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -91,7 +91,3 @@ class ScalarField(abc.ABC):
             for i, x in enumerate(xs):
                 out[j, i] = self.value(float(x), float(y))
         return out
-
-    def values_at(self, points: List[Vec]) -> List[float]:
-        """Vectorised convenience: the field value at each point."""
-        return [self.value(p[0], p[1]) for p in points]

@@ -48,10 +48,6 @@ class HalfPlane:
         """How far ``p`` is outside the half-plane (negative = inside)."""
         return dot(self.normal, p) - self.offset
 
-    def boundary_line(self) -> Line:
-        """The boundary of the half-plane as a :class:`Line`."""
-        return Line(self.normal, self.offset)
-
     @staticmethod
     def bisector(keep: Vec, other: Vec) -> "HalfPlane":
         """Half-plane of points at least as close to ``keep`` as to ``other``.

@@ -131,9 +131,6 @@ class CostAccountant:
     def per_node_ops_max(self) -> int:
         return int(self.ops.max())
 
-    def per_node_traffic_mean(self) -> float:
-        return float((self.tx_bytes + self.rx_bytes).mean())
-
     def summary(self) -> Dict[str, float]:
         """A flat dict convenient for experiment tables."""
         return {

@@ -10,9 +10,8 @@ first):
 - **mid-epoch node crashes and recoveries**, scheduled at a tree-level
   slot: a node that crashes at slot ``s`` stops relaying before the
   nodes of level ``s`` transmit, stranding any reports buffered in it;
-- **burst link loss** via a two-state Gilbert-Elliott chain per directed
-  link (alongside the existing i.i.d. Bernoulli model of
-  :mod:`repro.network.links`);
+- **link loss** per transmission attempt: i.i.d. Bernoulli, or bursts
+  from a two-state Gilbert-Elliott chain per directed link;
 - **payload corruption**: a delivered frame's bits are flipped, which a
   CRC-checking receiver detects (and the sender retries) and a naive
   receiver accepts as a poisoned report;
@@ -36,12 +35,11 @@ deployment can be reused across protocol runs and seeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.network.links import LossyLinkModel
 from repro.network.network import SensorNetwork
 from repro.network.rngstream import derive_key, uniform_at, uniforms_at_many
 
@@ -50,10 +48,9 @@ from repro.network.rngstream import derive_key, uniform_at, uniforms_at_many
 class BernoulliLink:
     """Memoryless per-attempt loss: each attempt delivers with fixed odds.
 
-    The stateful-interface twin of :class:`LossyLinkModel` (which bundles
-    the same distribution with an ARQ budget); the transport owns the
-    retry budget now, so the link model only answers "did this attempt
-    get through".
+    The retry budget belongs to the transport
+    (:class:`~repro.network.transport.TransportConfig`), so the link
+    model only answers "did this attempt get through".
     """
 
     delivery_probability: float = 0.9
@@ -61,15 +58,6 @@ class BernoulliLink:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delivery_probability <= 1.0:
             raise ValueError("delivery probability must be in [0, 1]")
-
-    def initial_state(self, rng: random.Random) -> None:
-        return None
-
-    def step(self, state: None, rng: random.Random) -> None:
-        return None
-
-    def delivers(self, state: None, rng: random.Random) -> bool:
-        return rng.random() < self.delivery_probability
 
     def average_delivery(self) -> float:
         """Long-run per-attempt delivery probability (closed form)."""
@@ -104,19 +92,6 @@ class GilbertElliottLink:
     def steady_state_bad(self) -> float:
         """Stationary probability of the bad state."""
         return self.p_enter_bad / (self.p_enter_bad + self.p_exit_bad)
-
-    def initial_state(self, rng: random.Random) -> bool:
-        """Sample the stationary distribution (True = bad)."""
-        return rng.random() < self.steady_state_bad()
-
-    def step(self, bad: bool, rng: random.Random) -> bool:
-        if bad:
-            return not (rng.random() < self.p_exit_bad)
-        return rng.random() < self.p_enter_bad
-
-    def delivers(self, bad: bool, rng: random.Random) -> bool:
-        p = self.deliver_bad if bad else self.deliver_good
-        return rng.random() < p
 
     def average_delivery(self) -> float:
         """Long-run per-attempt delivery probability (closed form)."""
@@ -301,7 +276,6 @@ class FaultEngine:
         self._crashed: List[int] = []
         self._recovered: List[int] = []
         self._corrupt_rng = random.Random(f"{plan.seed}|corrupt")
-        self._dup_rng = random.Random(f"{plan.seed}|dup")
         #: Attempt slots reserved per frame; the transport sets this to
         #: its ARQ ceiling before any frame draw happens.
         self.attempts_per_frame = 1
@@ -494,15 +468,6 @@ class FaultEngine:
         es = self._edge(sender, receiver)
         return uniform_at(es.k_dup, frame) < self.plan.duplication
 
-    def link_attempt(self, sender: int, receiver: int) -> bool:
-        """One stand-alone transmission attempt on the directed link
-        (True = on air OK).  Each call burns one frame of the edge's
-        streams; kept for direct link-model exercises -- the transport
-        addresses attempts explicitly via :meth:`link_ok`."""
-        if self.plan.link is None:
-            return True
-        return self.link_ok(sender, receiver, self.next_frame(sender, receiver), 1)
-
     # -- batched draws --------------------------------------------------
 
     def frame_draws_batch(
@@ -526,27 +491,6 @@ class FaultEngine:
         streams = [self._edge(u, v) for (u, v) in edges]
         return _frame_draws(self.plan, self.attempts_per_frame, streams, counts)
 
-    def _ge_states_batch(
-        self,
-        streams: List[_EdgeStreams],
-        counts: np.ndarray,
-        f0: np.ndarray,
-        frames: np.ndarray,
-        edge_of: np.ndarray,
-        model: GilbertElliottLink,
-    ) -> np.ndarray:
-        """See :func:`_ge_states_scan` (kept as a method for callers)."""
-        return _ge_states_scan(
-            self.attempts_per_frame, streams, counts, f0, frames, edge_of, model
-        )
-
-    def corrupts(self) -> bool:
-        """Does the next delivered frame arrive bit-damaged?"""
-        return (
-            self.plan.corruption > 0.0
-            and self._corrupt_rng.random() < self.plan.corruption
-        )
-
     def corrupt_payload(self, payload: bytes) -> bytes:
         """Flip 1-3 distinct random bits of ``payload`` (the injected
         damage; distinct so the frame is always genuinely altered)."""
@@ -557,13 +501,6 @@ class FaultEngine:
         for bit in self._corrupt_rng.sample(range(len(damaged) * 8), flips):
             damaged[bit // 8] ^= 1 << (bit % 8)
         return bytes(damaged)
-
-    def duplicates(self) -> bool:
-        """Does the next delivered frame arrive twice?"""
-        return (
-            self.plan.duplication > 0.0
-            and self._dup_rng.random() < self.plan.duplication
-        )
 
 
 def _frame_draws(
@@ -730,8 +667,3 @@ def frame_draws_detached(
     air_ok, corrupt, dup = _frame_draws(plan, attempts_per_frame, streams, counts)
     cursors = [(es.frame, es.ge_t, es.ge_state) for es in streams]
     return air_ok, corrupt, dup, cursors
-
-
-def bernoulli_from_lossy(model: LossyLinkModel) -> BernoulliLink:
-    """Adapt the legacy ARQ-bundled model to the stateful link interface."""
-    return BernoulliLink(delivery_probability=model.delivery_probability)

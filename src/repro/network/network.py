@@ -242,10 +242,6 @@ class SensorNetwork:
         """Neighbours of ``i`` that can answer value queries."""
         return [j for j in self.neighbor_lists[i] if self.nodes[j].can_sense]
 
-    def k_hop_alive_neighbors(self, i: int, k: int) -> List[int]:
-        """Alive nodes within k hops of node ``i`` (excluding ``i``)."""
-        return self.csr.k_hop_neighbors(i, k, alive=self.alive_mask()).tolist()
-
     def k_hop_sensing_neighbors(self, i: int, k: int) -> List[int]:
         """Sensing-capable nodes within k (alive-routed) hops of node ``i``.
 

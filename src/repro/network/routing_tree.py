@@ -137,21 +137,13 @@ def _build_routing_tree_csr(
     if not live[sink]:
         raise ValueError("the sink must be alive")
 
-    indptr, indices = csr.indptr, csr.indices
     level_arr = np.full(n, -1, dtype=np.int64)
     level_arr[sink] = 0
     rings = [np.array([sink], dtype=np.int64)]
     frontier = rings[0]
     lvl = 0
     while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        base = np.repeat(starts, counts)
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        cand = indices[base + within]
+        cand = csr.gather(frontier)
         cand = cand[live[cand] & (level_arr[cand] < 0)]
         if cand.size == 0:
             break
@@ -176,13 +168,9 @@ def _build_routing_tree_csr(
             dtype=np.float64,
             count=n,
         )
-        starts = indptr[non_sink]
-        counts = indptr[non_sink + 1] - starts
-        total = int(counts.sum())
-        seg = np.repeat(np.arange(len(non_sink)), counts)
-        base = np.repeat(starts, counts)
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        nb = indices[base + within]
+        degrees = csr.indptr[non_sink + 1] - csr.indptr[non_sink]
+        seg = np.repeat(np.arange(len(non_sink)), degrees)
+        nb = csr.gather(non_sink)
         upstream = live[nb] & (level_arr[nb] == level_arr[non_sink][seg] - 1)
         nb = nb[upstream]
         seg = seg[upstream]

@@ -1,44 +1,27 @@
-"""Spatial tile-sharding of the epoch pipeline (the million-node path).
+"""Spatial tile-sharding of the epoch transport (the million-node path).
 
-The deployment is partitioned into a regular grid of square tiles.  Two
-independent consumers ride the partition:
-
-- **Topology construction** (:func:`build_csr_adjacency_tiled`,
-  :func:`tile_skeleton`): each tile builds the disk-graph edges of its
-  members from the members plus a one-ring *halo* (nodes of the eight
-  adjacent tiles within ``radio_range`` of the tile's box), so no tile
-  ever materialises more than its own neighbourhood.  Every undirected
-  edge is emitted by exactly one tile -- the tile owning the smaller
-  endpoint id -- and :meth:`CsrAdjacency.from_edges` sorts edges into
-  canonical row order, so the concatenated result is *array-identical*
-  to the untiled build at any tile size.
-
-- **Transport resolution** (:class:`TilePartition` +
-  ``EpochTransport(tiling=...)``): a level batch's frames are grouped by
-  the *sender's* tile and each tile's fault draws resolve independently.
-  Each directed edge is owned exclusively by its sender, so the
-  per-edge frame cursors and burst-chain checkpoints partition cleanly
-  across tiles, and because every draw is addressed by
-  ``(edge, frame, attempt)`` (counter-based streams, PR 5) the outcomes
-  are bit-identical to the single global batch regardless of tile
-  layout or resolution order.  All order-sensitive work -- the Mersenne
-  payload-damage stream, receiver dispatch, charge scatter-adds -- stays
-  at the transport's merge barrier in global flat order.
-
-The ``tile_size >= radio_range`` constraint applies only to the
-halo-based adjacency builder (a one-ring halo must cover the radio
-disk); transport tiling is correct for *any* partition of senders.
+The deployment is partitioned into a regular grid of square tiles
+(:class:`TilePartition`).  With ``EpochTransport(tiling=...)`` a level
+batch's frames are grouped by the *sender's* tile and each tile's fault
+draws resolve independently.  Each directed edge is owned exclusively
+by its sender, so the per-edge frame cursors and burst-chain
+checkpoints partition cleanly across tiles, and because every draw is
+addressed by ``(edge, frame, attempt)`` (counter-based streams) the
+outcomes are bit-identical to the single global batch regardless of
+tile layout or resolution order.  All order-sensitive work -- the
+Mersenne payload-damage stream, receiver dispatch, charge scatter-adds
+-- stays at the transport's merge barrier in global flat order, so the
+partition may be any grid of senders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
 from repro import profiling
-from repro.network.topology import CsrAdjacency, _disk_edges
 
 
 @dataclass(frozen=True)
@@ -86,47 +69,14 @@ class TileGrid:
         tx, ty = self.tile_coords(pts)
         return ty * np.int64(self.nx) + tx
 
-    def box(self, t: int) -> Tuple[float, float, float, float]:
-        """Nominal ``(x0, y0, x1, y1)`` of tile ``t`` (remainder ignored;
-        only used for halo distance tests, where a slightly small last
-        box can only *enlarge* the halo, never lose a neighbour)."""
-        tx = t % self.nx
-        ty = t // self.nx
-        s = self.tile_size
-        x0 = self.xmin + tx * s
-        y0 = self.ymin + ty * s
-        return x0, y0, x0 + s, y0 + s
-
-    def adjacent_tiles(self, t: int) -> List[int]:
-        """The up-to-eight grid neighbours of tile ``t``, ascending."""
-        tx = t % self.nx
-        ty = t // self.nx
-        out: List[int] = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                ax, ay = tx + dx, ty + dy
-                if 0 <= ax < self.nx and 0 <= ay < self.ny:
-                    out.append(ay * self.nx + ax)
-        out.sort()
-        return out
-
 
 @dataclass(frozen=True)
 class TilePartition:
-    """A deployment's node-to-tile assignment in CSR-over-tiles form.
-
-    ``order[tile_start[t]:tile_start[t+1]]`` are tile ``t``'s member
-    node ids in ascending order (the stable sort groups by tile and
-    keeps id order within a tile), so per-tile iteration is
-    deterministic by construction.
-    """
+    """A deployment's node-to-tile assignment: ``tile_id[i]`` is node
+    ``i``'s flat tile id on ``grid``."""
 
     grid: TileGrid
     tile_id: np.ndarray  # (n,) node -> flat tile id
-    order: np.ndarray  # (n,) node ids grouped by tile
-    tile_start: np.ndarray  # (n_tiles + 1,)
 
     @staticmethod
     def build(
@@ -134,132 +84,11 @@ class TilePartition:
     ) -> "TilePartition":
         pts = np.asarray(positions, dtype=float).reshape(-1, 2)
         grid = TileGrid.for_bounds(bounds, tile_size)
-        tile_id = grid.tile_of(pts)
-        order = np.argsort(tile_id, kind="stable")
-        counts = np.bincount(tile_id, minlength=grid.n_tiles)
-        tile_start = np.zeros(grid.n_tiles + 1, dtype=np.int64)
-        np.cumsum(counts, out=tile_start[1:])
-        return TilePartition(
-            grid=grid, tile_id=tile_id, order=order, tile_start=tile_start
-        )
+        return TilePartition(grid=grid, tile_id=grid.tile_of(pts))
 
     @property
     def n_tiles(self) -> int:
         return self.grid.n_tiles
-
-    def members(self, t: int) -> np.ndarray:
-        """Tile ``t``'s member node ids, ascending."""
-        return self.order[self.tile_start[t] : self.tile_start[t + 1]]
-
-    def occupied_tiles(self) -> np.ndarray:
-        """Tile ids with at least one member, ascending."""
-        return np.flatnonzero(np.diff(self.tile_start) > 0)
-
-    def halo(self, pts: np.ndarray, t: int, radius: float) -> np.ndarray:
-        """Members of the eight adjacent tiles within ``radius`` of tile
-        ``t``'s box (point-to-box distance), ascending-by-tile order."""
-        x0, y0, x1, y1 = self.grid.box(t)
-        parts = [
-            m for nb in self.grid.adjacent_tiles(t) if (m := self.members(nb)).size
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        cand = np.concatenate(parts)
-        px = pts[cand, 0]
-        py = pts[cand, 1]
-        dx = np.maximum(np.maximum(x0 - px, px - x1), 0.0)
-        dy = np.maximum(np.maximum(y0 - py, py - y1), 0.0)
-        return cand[dx * dx + dy * dy <= radius * radius]
-
-
-def build_csr_adjacency_tiled(
-    positions: Sequence,
-    radio_range: float,
-    partition: TilePartition,
-) -> CsrAdjacency:
-    """Unit-disk CSR adjacency built one tile at a time.
-
-    Memory is bounded by the largest members+halo neighbourhood instead
-    of the whole deployment's candidate set.  Each tile runs the same
-    :func:`_disk_edges` kernel on its sub-positions; an edge is kept by
-    the tile owning its smaller endpoint (``tile_id[min(i, j)] == t``),
-    so every undirected edge is emitted exactly once globally, and
-    :meth:`CsrAdjacency.from_edges` canonicalises the concatenated list
-    into arrays identical to the untiled build.
-
-    Requires ``tile_size >= radio_range``: the one-ring halo must cover
-    every node's radio disk.
-    """
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    n = len(pts)
-    if partition.grid.tile_size < radio_range:
-        raise ValueError(
-            "tiled adjacency needs tile_size >= radio_range "
-            f"({partition.grid.tile_size} < {radio_range}): the one-ring "
-            "halo would not cover the radio disk"
-        )
-    tile_id = partition.tile_id
-    ii_parts: List[np.ndarray] = []
-    jj_parts: List[np.ndarray] = []
-    with profiling.stage("topology.build.tiled"):
-        for t in partition.occupied_tiles().tolist():
-            mem = partition.members(t)
-            sub = np.concatenate([mem, partition.halo(pts, t, radio_range)])
-            li, lj = _disk_edges(pts[sub], radio_range)
-            if li.size == 0:
-                continue
-            gi = sub[li]
-            gj = sub[lj]
-            keep = tile_id[np.minimum(gi, gj)] == t
-            if keep.any():
-                ii_parts.append(gi[keep])
-                jj_parts.append(gj[keep])
-    if not ii_parts:
-        return CsrAdjacency.from_edges(
-            n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-    return CsrAdjacency.from_edges(
-        n, np.concatenate(ii_parts), np.concatenate(jj_parts)
-    )
-
-
-@dataclass(frozen=True)
-class TileSkeleton:
-    """One tile's on-demand local topology.
-
-    ``nodes`` lists the tile's member node ids followed by its halo
-    (``nodes[:n_members]`` are the members); ``csr`` is the disk graph
-    over that sub-deployment in local indices.  Member rows equal the
-    induced global adjacency exactly (every global neighbour of a member
-    is within the halo); halo rows may miss their own far-side
-    neighbours and exist only to close the members' edges.
-    """
-
-    tile: int
-    nodes: np.ndarray
-    n_members: int
-    csr: CsrAdjacency
-
-
-def tile_skeleton(
-    positions: Sequence,
-    radio_range: float,
-    partition: TilePartition,
-    t: int,
-) -> TileSkeleton:
-    """Build tile ``t``'s :class:`TileSkeleton` (streaming construction)."""
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    if partition.grid.tile_size < radio_range:
-        raise ValueError("tile skeletons need tile_size >= radio_range")
-    mem = partition.members(t)
-    sub = np.concatenate([mem, partition.halo(pts, t, radio_range)])
-    li, lj = _disk_edges(pts[sub], radio_range)
-    return TileSkeleton(
-        tile=t,
-        nodes=sub,
-        n_members=int(mem.size),
-        csr=CsrAdjacency.from_edges(len(sub), li, lj),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -67,8 +67,7 @@ def build_csr_adjacency(
 #: distance test is evaluated over at most this many candidate pairs at
 #: a time (~2M pairs = a few dozen MB of scratch), so adjacency build
 #: memory is O(n * degree) output plus an n-independent working set.
-#: Deployments whose whole candidate set fits run the single monolithic
-#: pass (bit-for-bit the historical behaviour and fastest at small n).
+#: Deployments whose whole candidate set fits run as one chunk.
 DISK_EDGE_CANDIDATE_BUDGET = 1 << 21
 
 
@@ -85,11 +84,11 @@ def _disk_edges(
     the contiguous sorted block of its offset cell.  Each unordered cell
     pair is visited exactly once, so no edge is produced twice.
 
-    When the total candidate count exceeds ``max_candidates`` (default
-    :data:`DISK_EDGE_CANDIDATE_BUDGET`), the ragged gather is evaluated
-    in block-aligned chunks: chunks cut only on candidate-block
-    boundaries, so concatenating the per-chunk survivors reproduces the
-    monolithic pass element for element.
+    The ragged candidate gather is evaluated in block-aligned chunks of
+    at most ``max_candidates`` pairs (default
+    :data:`DISK_EDGE_CANDIDATE_BUDGET`): chunks cut only on
+    candidate-block boundaries, so the concatenated per-chunk survivors
+    are the same edge list at any budget.
     """
     if radio_range <= 0:
         raise ValueError("radio range must be positive")
@@ -137,14 +136,11 @@ def _disk_edges(
     block_left[1:] = np.where(hit, cell_starts[pos_c], 0)
     block_count[1:] = np.where(hit, cell_sizes[pos_c], 0)
 
-    # Broadcast to nodes (sorted domain) and run one ragged gather.  The
-    # flattened layout keeps the same-cell offset first, so its
-    # candidates occupy a known prefix of the gathered arrays.
+    # Broadcast to nodes (sorted domain).  The flattened layout keeps the
+    # same-cell offset first, so its candidates occupy a known prefix of
+    # the candidate sequence.
     left = block_left[:, cell_of].ravel()
     counts = block_count[:, cell_of].ravel()
-    total = int(counts.sum())
-    if total == 0:
-        return empty, empty
     xs_sorted = pts[:, 0][order]
     ys_sorted = pts[:, 1][order]
     # The first n blocks are exactly the same-cell blocks (offset 0):
@@ -154,23 +150,10 @@ def _disk_edges(
     budget = (
         DISK_EDGE_CANDIDATE_BUDGET if max_candidates is None else max_candidates
     )
-    if total <= budget:
-        ii_sorted = np.repeat(np.tile(np.arange(n, dtype=np.int64), 5), counts)
-        ends = np.cumsum(counts)
-        j_sorted = np.arange(total) + np.repeat(left - (ends - counts), counts)
-        dx = xs_sorted[ii_sorted] - xs_sorted[j_sorted]
-        dy = ys_sorted[ii_sorted] - ys_sorted[j_sorted]
-        valid = dx * dx + dy * dy <= radio_range * radio_range
-        valid[:same_cell_total] &= (
-            j_sorted[:same_cell_total] > ii_sorted[:same_cell_total]
-        )
-        return order[ii_sorted[valid]], order[j_sorted[valid]]
 
-    # Chunked pass: walk the 5n candidate blocks in order, cutting a
-    # chunk when its candidate total would exceed the budget (a single
-    # oversized block still runs whole -- correctness never depends on
-    # the cap).  Each chunk is the monolithic gather restricted to its
-    # block range, so outputs concatenate to the identical edge list.
+    # Walk the 5n candidate blocks in order, cutting a chunk when its
+    # candidate total would exceed the budget (a single oversized block
+    # still runs whole -- correctness never depends on the cap).
     r2 = radio_range * radio_range
     node_of_block = np.tile(np.arange(n, dtype=np.int64), 5)
     block_ends = np.cumsum(counts)
@@ -279,19 +262,6 @@ class CsrAdjacency:
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr=indptr, indices=indices)
 
-    @classmethod
-    def from_sets(cls, adj: Sequence[Set[int]]) -> "CsrAdjacency":
-        n = len(adj)
-        counts = np.fromiter((len(s) for s in adj), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.fromiter(
-            (j for s in adj for j in sorted(s)),
-            dtype=np.int64,
-            count=int(counts.sum()),
-        )
-        return cls(indptr=indptr, indices=indices)
-
     def to_sets(self) -> List[Set[int]]:
         """Materialise per-node neighbour sets (the legacy adjacency view)."""
         idx = self.indices.tolist()
@@ -306,6 +276,35 @@ class CsrAdjacency:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The neighbour blocks of ``rows``, concatenated in row order.
+
+        One ragged gather: row ``rows[k]``'s ascending neighbours follow
+        those of ``rows[k - 1]``, so a caller recovers which row an entry
+        came from by repeating row positions by their degrees.
+        """
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        within = np.arange(int(counts.sum())) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        return self.indices[np.repeat(starts, counts) + within]
+
+    def flood(self, start: int, live: np.ndarray) -> np.ndarray:
+        """Mask of the live nodes reachable from ``start`` (included).
+
+        Array-frontier BFS: one :meth:`gather` per hop ring, masking
+        dead and already-reached nodes.
+        """
+        seen = np.zeros(self.n_nodes, dtype=bool)
+        seen[start] = True
+        frontier = np.array([start], dtype=np.int64)
+        while frontier.size:
+            cand = self.gather(frontier)
+            frontier = np.unique(cand[live[cand] & ~seen[cand]])
+            seen[frontier] = True
+        return seen
 
     def k_hop_neighbors(
         self, start: int, k: int, alive: Optional[Sequence[bool]] = None
@@ -326,16 +325,7 @@ class CsrAdjacency:
         out = np.zeros(n, dtype=bool)
         frontier = np.array([start], dtype=np.int64)
         for _ in range(k):
-            starts = self.indptr[frontier]
-            counts = self.indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            base = np.repeat(starts, counts)
-            within = np.arange(total) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            cand = self.indices[base + within]
+            cand = self.gather(frontier)
             if alive_arr is not None:
                 cand = cand[alive_arr[cand]]
             cand = cand[~seen[cand]]
@@ -384,8 +374,8 @@ def is_connected(adj, alive: Sequence[bool] = None) -> bool:
     """True when all (alive) nodes are mutually reachable.
 
     Accepts the legacy neighbour sets/lists or a :class:`CsrAdjacency`;
-    the CSR path floods with an array-frontier BFS (one ragged gather
-    per hop ring) instead of a per-node Python loop.
+    the CSR path runs :meth:`CsrAdjacency.flood` instead of a per-node
+    Python loop.
     """
     if isinstance(adj, CsrAdjacency):
         n = adj.n_nodes
@@ -395,26 +385,7 @@ def is_connected(adj, alive: Sequence[bool] = None) -> bool:
         live_idx = np.flatnonzero(live_arr)
         if live_idx.size == 0:
             return True  # vacuously connected
-        seen = np.zeros(n, dtype=bool)
-        start = int(live_idx[0])
-        seen[start] = True
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            starts = adj.indptr[frontier]
-            counts = adj.indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            base = np.repeat(starts, counts)
-            within = np.arange(total) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            cand = adj.indices[base + within]
-            cand = cand[live_arr[cand] & ~seen[cand]]
-            if cand.size == 0:
-                break
-            frontier = np.unique(cand)
-            seen[frontier] = True
+        seen = adj.flood(int(live_idx[0]), live_arr)
         return int(seen.sum()) == int(live_idx.size)
     n = len(adj)
     live = [True] * n if alive is None else list(alive)

@@ -45,7 +45,6 @@ or ``duplicate_discarded``), which is the conservation law
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -65,7 +64,6 @@ from repro import profiling
 from repro.geometry import dist
 from repro.network.accounting import CostAccountant
 from repro.network.faults import FaultEngine, FaultPlan
-from repro.network.links import LossyLinkModel, charge_lossy_hop
 from repro.network.network import SensorNetwork
 from repro.network.tiling import (
     AttemptResolution,
@@ -95,8 +93,7 @@ class TransportConfig:
     Attributes:
         arq: retransmit frames lost or CRC-rejected on air.
         max_retries: retransmissions after the first attempt (so at most
-            ``max_retries + 1`` attempts per frame), matching
-            :class:`LossyLinkModel`'s budget shape.
+            ``max_retries + 1`` attempts per frame).
         backoff_base / backoff_cap: retry ``k`` (k >= 1) charges
             ``min(backoff_base << (k - 1), backoff_cap)`` ops at the
             sender -- the capped exponential backoff listen window.
@@ -317,13 +314,10 @@ class EpochTransport:
             fault engine).
         costs: the run's accountant; all transport work is charged here.
         config: defense knobs; defaults to :meth:`TransportConfig.hardened`.
-        plan: the fault plan; None or a null plan selects the exact
-            fast path of the pre-transport code (byte-identical charges).
-        link_model: the legacy Bernoulli+ARQ model of
-            :mod:`repro.network.links`, honoured verbatim (same rng
-            consumption order) for backward compatibility; mutually
-            exclusive with a non-null ``plan``.
-        link_seed: seed for the legacy link model's randomness.
+        plan: the fault plan, the one source of link loss, crashes,
+            corruption and duplication; None or a null plan selects the
+            exact fast path of the pre-transport code (byte-identical
+            charges).
         mangler: optional receiver-side decoder for corrupted frames
             accepted without a CRC (protocols with a real codec pass
             one; without it such frames are discarded as unparseable).
@@ -343,8 +337,6 @@ class EpochTransport:
         costs: CostAccountant,
         config: Optional[TransportConfig] = None,
         plan: Optional[FaultPlan] = None,
-        link_model: Optional[LossyLinkModel] = None,
-        link_seed: int = 0,
         mangler: Optional[Mangler] = None,
         tiling: Optional[TilePartition] = None,
         tile_jobs: int = 1,
@@ -353,17 +345,10 @@ class EpochTransport:
         self.costs = costs
         self.config = config if config is not None else TransportConfig.hardened()
         self.mangler = mangler
-        self.link_model = link_model
         self.tiling = tiling
         self.tile_jobs = max(1, int(tile_jobs))
         self._tile_pool = None
-        self._legacy_rng = random.Random(link_seed)
         if plan is not None and not plan.is_null:
-            if link_model is not None:
-                raise ValueError(
-                    "pass the link loss inside the FaultPlan (e.g. "
-                    "BernoulliLink), not as a separate legacy link_model"
-                )
             self.engine: Optional[FaultEngine] = FaultEngine(plan, network)
             # Fix every frame's draw budget up front: counter-based
             # streams address (frame, attempt) slots, so the budget must
@@ -449,9 +434,9 @@ class EpochTransport:
         strand, and dead parents are locally repaired when the config
         allows.
 
-        This is the scalar reference order; :meth:`run_collection`'s
-        batched mode takes the same hops level-wise (see
-        :meth:`walk_reference`, the differential-test anchor).
+        This is the scalar reference order (the differential-test
+        anchor); :meth:`run_collection`'s batched mode takes the same
+        hops level-wise.
         """
         tree = self.network.tree
         order = tree.subtree_order_bottom_up()
@@ -489,10 +474,6 @@ class EpochTransport:
             yield Hop(u, parent)
             self._processed.add(u)
         self.engine.finish_epoch()
-
-    #: The scalar walk is the differential-test reference the batched
-    #: level resolver is pinned against.
-    walk_reference = walk
 
     def _reparent(self, u: int) -> Optional[int]:
         """Locally re-attach ``u`` after its parent crashed (scalar walk).
@@ -576,20 +557,7 @@ class EpochTransport:
         they are bucketed here, so the caller only handles arrivals.
         """
         if self.engine is None:
-            if self.link_model is not None:
-                ok = charge_lossy_hop(
-                    self.link_model,
-                    sender,
-                    receiver,
-                    nbytes,
-                    self.costs,
-                    self._legacy_rng,
-                )
-                if not ok:
-                    self._terminal(rids, _LOST)
-                    return SendOutcome(False, [])
-            else:
-                self.costs.charge_hop(sender, receiver, nbytes)
+            self.costs.charge_hop(sender, receiver, nbytes)
             return SendOutcome(True, [(payload, False)])
 
         cfg = self.config
@@ -659,8 +627,7 @@ class EpochTransport:
         is also what lets the transport choose *how* to run the epoch:
 
         - the scalar reference path replays :meth:`walk` + :meth:`send`
-          frame by frame (always used for the legacy ``link_model``,
-          whose shared Mersenne stream is order-dependent);
+          frame by frame;
         - with a fault engine and ``config.batched``, each tree level's
           frames are resolved as arrays (one batch of counter-based
           draws, one scatter-add per charge kind) -- bit-identical to
@@ -679,7 +646,7 @@ class EpochTransport:
     def _run_scalar(
         self, frames_for: FramesFor, on_arrival: OnArrival, ops_per_frame: int
     ) -> None:
-        """The per-frame reference loop (also the legacy-link path)."""
+        """The per-frame reference loop."""
         for hop in self.walk():
             if hop.parent is None:
                 for fr in frames_for(hop.node):
@@ -1050,40 +1017,24 @@ class EpochTransport:
     def _count_disconnected(self) -> int:
         """Components of the end-of-epoch alive graph cut off the sink.
 
-        First floods the sink's component with an array-frontier BFS over
-        the CSR adjacency (one gather per hop ring instead of a Python
-        loop over every node's neighbour list), then counts components
-        among the -- typically few -- alive nodes left over with the
-        scalar sweep.  Differential-tested against
-        :meth:`_count_disconnected_reference`, the retained full scan.
+        First floods the sink's component over the CSR adjacency
+        (:meth:`~repro.network.topology.CsrAdjacency.flood`, one gather
+        per hop ring instead of a Python loop over every node's
+        neighbour list), then counts components among the -- typically
+        few -- alive nodes left over with the scalar sweep.
+        Differential-tested against :meth:`_count_disconnected_reference`,
+        the retained full scan.
         """
         net = self.network
         n = net.n_nodes
         alive = np.fromiter((nd.alive for nd in net.nodes), dtype=bool, count=n)
         if self.engine is not None:
             alive &= self.engine.alive_array()
-        csr = net.csr
-        seen = np.zeros(n, dtype=bool)
         sink = net.sink_index
         if alive[sink]:
-            seen[sink] = True
-            frontier = np.array([sink], dtype=np.int64)
-            while frontier.size:
-                starts = csr.indptr[frontier]
-                counts = csr.indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                base = np.repeat(starts, counts)
-                within = np.arange(total) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                cand = csr.indices[base + within]
-                cand = cand[alive[cand] & ~seen[cand]]
-                if cand.size == 0:
-                    break
-                frontier = np.unique(cand)
-                seen[frontier] = True
+            seen = net.csr.flood(sink, alive)
+        else:
+            seen = np.zeros(n, dtype=bool)
         leftover = np.flatnonzero(alive & ~seen)
         if leftover.size == 0:
             return 0
@@ -1181,11 +1132,7 @@ def forward_reports_to_sink(
             continue
         pending.append((i, rid))
 
-    if (
-        transport.engine is None
-        and transport.link_model is None
-        and transport.config.batched
-    ):
+    if transport.engine is None and transport.config.batched:
         # Perfect links and no faults: every frame travels its full
         # path, so the per-hop charges collapse to subtree sums -- no
         # per-frame Python at all (what makes n=40k feasible).

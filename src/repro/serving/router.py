@@ -21,7 +21,7 @@ retries and per-shard circuit breakers (see
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.serving.chaos import ChaosPlan
 from repro.serving.errors import UnknownQueryError
@@ -116,10 +116,6 @@ class MapService:
             *(self.sessions[qid].advance() for qid in ids)
         )
         return dict(zip(ids, results))
-
-    async def probe_shards(self) -> List[bool]:
-        """Heartbeat every shard (True = it answered within deadline)."""
-        return await self.pool.probe_all()
 
     def health(self) -> Dict[str, Any]:
         """A structured view of service health for operators and tests.

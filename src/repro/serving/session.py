@@ -292,57 +292,43 @@ class SessionCompute:
         self.network.resense(field_for_epoch(self.config, epoch))
         result = self.monitor.epoch(self.network)
 
-        if self.monitor.prediction is None:
-            # The pre-prediction fold, byte-for-byte: sources are
-            # stationary, so a delivered report never moves its key.
-            new_records: List[bytes] = []
-            for report in result.delivered_reports:
-                key = self.codec.quantize_position(report.position)
-                record = self.codec.encode(report)
-                self._state[key] = record
-                self._source_pos[report.source] = key
-                new_records.append(record)
-            retractions: List[Tuple[int, int]] = []
-            for source in result.retractions:
-                key = self._source_pos.pop(source, None)
-                if key is not None and key in self._state:
-                    del self._state[key]
-                    retractions.append(key)
-        else:
-            # Prediction fold: cache entries are predictor tracks whose
-            # dead-reckoned positions MOVE between epochs, so a changed
-            # entry retracts its old position key alongside the new
-            # record.  Keys re-occupied by this epoch's records are
-            # never retracted (the replayer applies records first, so a
-            # same-key retraction would delete fresh data).
-            updates = [
-                (
-                    self.codec.quantize_position(report.position),
-                    self.codec.encode(report),
-                    report.source,
-                )
-                for report in result.cache_updates
-            ]
-            new_keys = {key for key, _, _ in updates}
-            vacated: List[Tuple[int, int]] = []
-            for key, _, source in updates:
-                prev = self._source_pos.get(source)
-                if prev is not None and prev != key:
-                    vacated.append(prev)
-            for source in result.cache_removed:
-                prev = self._source_pos.pop(source, None)
-                if prev is not None:
-                    vacated.append(prev)
-            retractions = []
-            for key in vacated:
-                if key not in new_keys and key in self._state:
-                    del self._state[key]
-                    retractions.append(key)
-            new_records = []
-            for key, record, source in updates:
-                self._state[key] = record
-                self._source_pos[source] = key
-                new_records.append(record)
+        # Fold the sink cache's changes into records.  With prediction,
+        # cache entries are predictor tracks whose dead-reckoned
+        # positions MOVE between epochs, so a changed entry retracts its
+        # old position key alongside the new record; without it,
+        # ``cache_updates``/``cache_removed`` are the delivered reports
+        # and retractions, and a key never moves.  Keys re-occupied by
+        # this epoch's records are never retracted (the replayer applies
+        # records first, so a same-key retraction would delete fresh
+        # data).
+        updates = [
+            (
+                self.codec.quantize_position(report.position),
+                self.codec.encode(report),
+                report.source,
+            )
+            for report in result.cache_updates
+        ]
+        new_keys = {key for key, _, _ in updates}
+        vacated: List[Tuple[int, int]] = []
+        for key, _, source in updates:
+            prev = self._source_pos.get(source)
+            if prev is not None and prev != key:
+                vacated.append(prev)
+        for source in result.cache_removed:
+            prev = self._source_pos.pop(source, None)
+            if prev is not None:
+                vacated.append(prev)
+        retractions: List[Tuple[int, int]] = []
+        for key in vacated:
+            if key not in new_keys and key in self._state:
+                del self._state[key]
+                retractions.append(key)
+        new_records: List[bytes] = []
+        for key, record, source in updates:
+            self._state[key] = record
+            self._source_pos[source] = key
+            new_records.append(record)
 
         sink = (
             None

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import ContourQuery
 from repro.core.detection import detect_isoline_nodes
-from repro.field import PlaneField
+from repro.core.wire import BYTES_PER_PARAM, LOCAL_QUERY_BYTES, LOCAL_REPLY_BYTES
+from repro.field import PlaneField, RadialField
 from repro.geometry import BoundingBox
 from repro.network import CostAccountant, SensorNetwork
 
@@ -86,3 +87,39 @@ class TestStraddleDetection:
     def test_invalid_mode_rejected_at_query(self):
         with pytest.raises(ValueError):
             ContourQuery(0, 10, 2, detection_mode="psychic")
+
+    def test_multi_hop_replies_charged_per_hop(self):
+        # Appointed nodes run the border-mode probe: a reply from beyond
+        # one hop is charged k_hop hops of tx and rx, not one.
+        field = RadialField(BOX, center=(10, 10), peak=20, slope=1)
+        net = SensorNetwork.random_deploy(field, 600, radio_range=2.0, seed=2)
+        q = ContourQuery(14.0, 16.0, 2.0, k_hop=2, detection_mode="straddle")
+        costs = CostAccountant(net.n_nodes)
+        res = detect_isoline_nodes(net, q, costs)
+        assert res.isoline_nodes
+
+        participants = [
+            nd.node_id for nd in net.nodes if nd.can_sense and nd.level is not None
+        ]
+        replies = reply_hops = 0
+        for node_id in res.isoline_nodes:
+            one_hop = set(net.neighbor_lists[node_id])
+            responders = net.k_hop_sensing_neighbors(node_id, 2)
+            assert len(res.neighborhood_data[node_id]) == len(responders)
+            replies += len(responders)
+            reply_hops += sum(1 if j in one_hop else 2 for j in responders)
+        assert reply_hops > replies  # some replies do come from two hops
+
+        # Everything else detection sends: one value broadcast per
+        # participant, one probe broadcast per appointed node.
+        value_tx = BYTES_PER_PARAM * len(participants)
+        probe_tx = LOCAL_QUERY_BYTES * len(res.isoline_nodes)
+        value_rx = BYTES_PER_PARAM * sum(
+            len(net.alive_neighbors(i)) for i in participants
+        )
+        probe_rx = LOCAL_QUERY_BYTES * sum(
+            len(net.alive_neighbors(i)) for i in res.isoline_nodes
+        )
+        want = LOCAL_REPLY_BYTES * reply_hops
+        assert costs.tx_bytes.sum() - value_tx - probe_tx == want
+        assert costs.rx_bytes.sum() - value_rx - probe_rx == want

@@ -4,20 +4,18 @@ Excluded from the default run by the ``slow`` marker (``pytest -m slow``
 runs it; the CI ``scaling`` job has a dedicated step).  One faulted,
 tile-sharded Iso-Map epoch on the side-316 harbor field: the point is
 that the tiling layer carries a 10^5-node faulted epoch end to end --
-tiled adjacency identical to the monolithic build, the degradation
-ledger conserved, and the report count still sublinear in n.
+the degradation ledger conserved and the report count still sublinear
+in n.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.experiments.common import harbor_network, run_isomap
 from repro.experiments.fig14_traffic import auto_tile_size
 from repro.field import make_harbor_field
 from repro.network.faults import FaultPlan
-from repro.network.tiling import TilePartition, build_csr_adjacency_tiled
 
 N = 100000
 SIDE = round(math.sqrt(N))
@@ -41,11 +39,3 @@ class TestScalingSmoke:
         # O(sqrt(n)) sources: the fitted exponent lives in the bench;
         # here a hard sublinearity cap guards the invariant.
         assert 0 < res.costs.reports_generated < N**0.7
-
-        # The tiled adjacency build is bit-identical to the monolithic
-        # CSR the network built (same contract the unit suite pins at
-        # small n, re-proven once at scale).
-        part = TilePartition.build(net.positions_array, net.bounds, tile_size)
-        csr = build_csr_adjacency_tiled(net.positions_array, 1.5, part)
-        assert np.array_equal(csr.indptr, net.csr.indptr)
-        assert np.array_equal(csr.indices, net.csr.indices)

@@ -1,7 +1,5 @@
 """Unit tests for the seeded fault-injection engine."""
 
-import random
-
 import pytest
 
 from repro.field import RadialField
@@ -15,9 +13,7 @@ from repro.network.faults import (
     FaultEvent,
     FaultPlan,
     GilbertElliottLink,
-    bernoulli_from_lossy,
 )
-from repro.network.links import LossyLinkModel
 
 BOX = BoundingBox(0, 0, 20, 20)
 
@@ -25,6 +21,14 @@ BOX = BoundingBox(0, 0, 20, 20)
 def dense_net(n=400, seed=0):
     field = RadialField(BOX, center=(10, 10), peak=20, slope=1)
     return SensorNetwork.random_deploy(field, n, radio_range=2.0, seed=seed)
+
+
+def link_draws(engine, sender, receiver, frames):
+    """First-attempt outcomes of ``frames`` fresh frames on one link."""
+    return [
+        engine.link_ok(sender, receiver, engine.next_frame(sender, receiver), 1)
+        for _ in range(frames)
+    ]
 
 
 class TestFaultPlan:
@@ -67,10 +71,6 @@ class TestLinkModels:
             BernoulliLink(1.2)
         assert BernoulliLink(0.8).average_delivery() == pytest.approx(0.8)
 
-    def test_bernoulli_from_lossy(self):
-        link = bernoulli_from_lossy(LossyLinkModel(delivery_probability=0.75))
-        assert link.delivery_probability == pytest.approx(0.75)
-
     def test_ge_validation(self):
         with pytest.raises(ValueError):
             GilbertElliottLink(p_enter_bad=1.5)
@@ -84,18 +84,24 @@ class TestLinkModels:
         assert ge.average_delivery() == pytest.approx((1 - sb) * 1.0 + sb * 0.7)
 
     def test_ge_chain_matches_stationary_distribution(self):
-        # Differential check: long-run simulated frequencies against the
-        # closed forms (law of large numbers, seeded).
-        ge = GilbertElliottLink(0.15, 0.4, 0.95, 0.6)
-        rng = random.Random(42)
-        state = ge.initial_state(rng)
-        n, bad, delivered = 40_000, 0, 0
-        for _ in range(n):
-            state = ge.step(state, rng)
-            bad += state
-            delivered += ge.delivers(state, rng)
-        assert bad / n == pytest.approx(ge.steady_state_bad(), abs=0.02)
-        assert delivered / n == pytest.approx(ge.average_delivery(), abs=0.02)
+        # Differential check: long-run frequencies of the engine's own
+        # per-attempt draws against the closed forms (law of large
+        # numbers, seeded).
+        net = dense_net(n=50, seed=0)
+        n = 40_000
+
+        def delivered(ge):
+            engine = FaultEngine(FaultPlan(seed=42, link=ge), net)
+            return sum(link_draws(engine, 1, 2, n)) / n
+
+        # A bad state that drops every attempt makes the loss rate read
+        # the chain's bad-state occupancy directly.
+        occupancy = GilbertElliottLink(0.15, 0.4, 1.0, 0.0)
+        assert 1.0 - delivered(occupancy) == pytest.approx(
+            occupancy.steady_state_bad(), abs=0.02
+        )
+        mixed = GilbertElliottLink(0.15, 0.4, 0.95, 0.6)
+        assert delivered(mixed) == pytest.approx(mixed.average_delivery(), abs=0.02)
 
 
 class TestFaultEngine:
@@ -188,8 +194,8 @@ class TestFaultEngine:
         plan = FaultPlan(seed=0, link=BernoulliLink(0.5))
         a, b = FaultEngine(plan, net), FaultEngine(plan, net)
         # Same link, same stream -- regardless of draws on other links.
-        seq_a = [a.link_attempt(1, 2) for _ in range(20)]
-        for _ in range(100):
-            b.link_attempt(3, 4)
-        seq_b = [b.link_attempt(1, 2) for _ in range(20)]
-        assert seq_a == seq_b
+        seq_a = link_draws(a, 1, 2, 20)
+        link_draws(b, 3, 4, 100)
+        assert link_draws(b, 1, 2, 20) == seq_a
+        # The reverse direction is a different link with its own stream.
+        assert link_draws(a, 2, 1, 20) != seq_a

@@ -167,3 +167,25 @@ def test_k_hop_rejects_negative_k():
         csr.k_hop_neighbors(0, -1)
     with pytest.raises(ValueError):
         k_hop_neighbors(csr.to_sets(), 0, -1)
+
+
+def test_gather_concatenates_rows_in_order():
+    rng = random.Random(5)
+    pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(120)]
+    csr = build_csr_adjacency(pts, 1.5)
+    rows = np.array([7, 3, 7, 0, 119], dtype=np.int64)
+    want = [j for r in rows.tolist() for j in csr.neighbors(r).tolist()]
+    assert csr.gather(rows).tolist() == want
+    assert csr.gather(np.empty(0, dtype=np.int64)).size == 0
+
+
+def test_flood_reaches_the_live_component():
+    rng = random.Random(6)
+    pts = [(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(150)]
+    csr = build_csr_adjacency(pts, 1.5)
+    sets = csr.to_sets()
+    live = np.array([rng.random() > 0.3 for _ in pts])
+    for start in np.flatnonzero(live)[:5].tolist():
+        reached = k_hop_neighbors(sets, start, len(pts), alive=live.tolist())
+        want = sorted(reached | {start})
+        assert np.flatnonzero(csr.flood(start, live)).tolist() == want

@@ -2,7 +2,7 @@
 
 The batched driver (``TransportConfig.batched=True``, the default) must be
 *bit-identical* to the per-frame scalar reference (``batched=False``, which
-loops ``walk_reference`` + ``send``) under the same seed: byte-identical
+loops ``walk`` + ``send``) under the same seed: byte-identical
 per-node tx/rx/ops accounting and an identical :class:`DegradationReport`,
 for every protocol, every defense-toggle combination and several fault
 intensities.  These tests pin that contract; they are what licenses every
