@@ -10,7 +10,11 @@ the Iso-Map report count is the headline (O(sqrt(n)) predicts 0.5).
 
 Before any timing, the bench re-proves the tiling contract at the
 paper's operating point: the tiled epoch must be bit-identical to the
-untiled one for two tile layouts (the ISSUE acceptance pin).
+untiled one for two tile layouts.
+
+Each point also times one ``detect_isoline_nodes`` call on the built
+network (``detect_s``, with its own ``CostAccountant``), so the
+detection layer has a number at every n.
 
 Usage::
 
@@ -43,14 +47,21 @@ import numpy as np
 import record
 
 from repro.baselines import TinyDBProtocol
+from repro.core.detection import detect_isoline_nodes
 from repro.energy import energy_from_costs
-from repro.experiments.common import default_levels, harbor_network, run_isomap
+from repro.experiments.common import (
+    PAPER_QUERY,
+    default_levels,
+    harbor_network,
+    run_isomap,
+)
 from repro.experiments.fig14_traffic import (
     TINYDB_MAX_N,
     _loglog_slope,
     auto_tile_size,
 )
 from repro.field import make_harbor_field
+from repro.network import CostAccountant
 from repro.network.faults import FaultPlan
 
 BENCH_JSON = _HERE.parent / "BENCH_scaling.json"
@@ -117,6 +128,9 @@ def _scaling_point(n: int, fault_intensity: float, seed: int) -> Dict[str, Any]:
     net = harbor_network(n, "random", seed=seed, field=field)
     topology_s = time.perf_counter() - t0
     t0 = time.perf_counter()
+    detect_isoline_nodes(net, PAPER_QUERY, CostAccountant(net.n_nodes))
+    detect_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
     iso = run_isomap(net, fault_plan=plan, tile_size=tile_size)
     epoch_s = time.perf_counter() - t0
     out: Dict[str, Any] = {
@@ -130,6 +144,7 @@ def _scaling_point(n: int, fault_intensity: float, seed: int) -> Dict[str, Any]:
         "tinydb_kb": None,
         "tinydb_mj": None,
         "topology_s": round(topology_s, 2),
+        "detect_s": round(detect_s, 3),
         "epoch_s": round(epoch_s, 2),
     }
     if n <= TINYDB_MAX_N:
@@ -162,8 +177,8 @@ def measure_points(ns) -> List[Dict[str, Any]]:
         if "error" in out:
             raise RuntimeError(out["error"])
         print(
-            f"    reports={out['isomap_reports']} epoch={out['epoch_s']}s "
-            f"peak_rss={out['peak_rss_mb']}MB"
+            f"    reports={out['isomap_reports']} detect={out['detect_s']}s "
+            f"epoch={out['epoch_s']}s peak_rss={out['peak_rss_mb']}MB"
         )
         points.append(out)
     return points

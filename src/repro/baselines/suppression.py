@@ -17,7 +17,9 @@ interpolation and smoothing.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.baselines.base import NearestReportBandMap, ProtocolRun
 from repro.core.wire import QUERY_BYTES, VALUE_REPORT_BYTES
@@ -106,24 +108,36 @@ class DataSuppressionProtocol:
         self, network: SensorNetwork, costs: CostAccountant
     ) -> Set[int]:
         """Greedy election in node-id order (a deterministic stand-in for
-        the distributed timer-based election of [15])."""
-        representatives: Set[int] = set()
-        for node in network.nodes:
-            if not node.can_sense or node.level is None:
-                continue
-            i = node.node_id
-            two_hop = network.k_hop_sensing_neighbors(i, 2)
+        the distributed timer-based election of [15]).
+
+        Every voter's 2-hop sensing neighbourhood comes from one
+        multi-source expansion; the greedy pass then reads it voter by
+        voter in ascending id.
+        """
+        state = network.node_state()
+        voters = np.flatnonzero(state.can_sense & state.routed)
+        owner, nbr, _ = network.csr.k_hop_pairs(voters, 2, state.alive)
+        sensing = state.can_sense[nbr]
+        owner, nbr = owner[sensing], nbr[sensing].tolist()
+        lo = np.searchsorted(owner, voters, side="left").tolist()
+        hi = np.searchsorted(owner, voters, side="right").tolist()
+        values = state.value.tolist()
+        is_rep = [False] * network.n_nodes
+        ops: List[int] = []
+        for i, a, b in zip(voters.tolist(), lo, hi):
+            compared = 0
             suppressed = False
-            for j in two_hop:
-                if j not in representatives:
+            for j in nbr[a:b]:
+                if not is_rep[j]:
                     continue
-                costs.charge_ops(i, OPS_PER_COMPARISON)
-                if abs(network.nodes[j].value - node.value) <= self.similarity:
+                compared += 1
+                if abs(values[j] - values[i]) <= self.similarity:
                     suppressed = True
                     break
             # Every node also pays for listening to its 2-hop area while
             # deciding (the protocol's similarity measurements).
-            costs.charge_ops(i, OPS_PER_COMPARISON * max(1, len(two_hop)))
+            ops.append(OPS_PER_COMPARISON * (compared + max(1, b - a)))
             if not suppressed:
-                representatives.add(i)
-        return representatives
+                is_rep[i] = True
+        costs.charge_ops_batch(voters, np.asarray(ops, dtype=np.int64))
+        return {i for i in voters.tolist() if is_rep[i]}

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.core.query import ContourQuery
 from repro.core.wire import BYTES_PER_PARAM, LOCAL_QUERY_BYTES, LOCAL_REPLY_BYTES
 from repro.geometry import Vec
-from repro.network import CostAccountant, SensorNetwork
+from repro.network import CostAccountant, NodeState, SensorNetwork
 
 #: Ops for testing one value against one isolevel's border region.
 OPS_PER_LEVEL_CHECK = 2
@@ -68,37 +70,57 @@ def detect_isoline_nodes(
     (value, x, y) reply from each sensing-capable k-hop neighbour.
     Computation charged: the border-region comparisons at every node and
     the straddle checks at candidates.
+
+    Every node's checks run as array passes over one
+    :meth:`~repro.network.SensorNetwork.node_state` snapshot, and all
+    candidates probe in one batch, so the phase costs the sum of the
+    probed neighbourhoods rather than candidates x n.
     """
     if query.detection_mode == "straddle":
         return detect_isoline_nodes_straddle(network, query, costs)
     result = DetectionResult()
     levels = query.isolevels
+    eps = query.epsilon
+    state = network.node_state()
+    participants = np.flatnonzero(state.can_sense & state.routed)
 
-    for node in network.nodes:
-        if not node.can_sense or node.level is None:
-            continue
-        # Condition 1: the node's own value against each border region.
-        costs.charge_ops(node.node_id, OPS_PER_LEVEL_CHECK * len(levels))
-        isolevel = query.matching_isolevel(node.value)
-        if isolevel is None:
-            continue
-        result.candidates.append(node.node_id)
-        result.neighborhood_data[node.node_id] = _probe_neighborhood(
-            network, node.node_id, query.k_hop, costs
-        )
+    # Condition 1: each node's own value against each border region, in
+    # ascending level order (the first match wins, as in
+    # ContourQuery.matching_isolevel).
+    costs.charge_ops_batch(
+        participants,
+        np.full(participants.size, OPS_PER_LEVEL_CHECK * len(levels), dtype=np.int64),
+    )
+    vp = state.value[participants]
+    match = np.full(participants.size, -1, dtype=np.int64)
+    for idx, v in enumerate(levels):
+        match[(match < 0) & (np.abs(vp - v) <= eps)] = idx
+    hit = match >= 0
+    candidates = participants[hit]
+    level_idx = match[hit]
+    cand_levels = np.asarray(levels, dtype=np.float64)[level_idx]
+    result.candidates = candidates.tolist()
+    result.neighborhood_data = _probe(network, state, candidates, query.k_hop, costs)
 
-        # Condition 2: some 1-hop neighbour straddles the isolevel.
-        straddles = False
-        one_hop = set(network.sensing_neighbors(node.node_id))
-        costs.charge_ops(node.node_id, OPS_PER_STRADDLE_CHECK * len(one_hop))
-        for j in one_hop:
-            vq = network.nodes[j].value
-            vp = node.value
-            if (vp < isolevel < vq) or (vq < isolevel < vp):
-                straddles = True
-                break
-        if straddles:
-            result.isoline_nodes[node.node_id] = isolevel
+    # Condition 2: some sensing 1-hop neighbour straddles the isolevel.
+    csr = network.csr
+    nbr = csr.gather(candidates)
+    row = np.repeat(
+        np.arange(candidates.size), csr.indptr[candidates + 1] - csr.indptr[candidates]
+    )
+    sensing = state.can_sense[nbr]
+    nbr, row = nbr[sensing], row[sensing]
+    costs.charge_ops_batch(
+        candidates,
+        OPS_PER_STRADDLE_CHECK * np.bincount(row, minlength=candidates.size),
+    )
+    vp, vq, lv = state.value[candidates[row]], state.value[nbr], cand_levels[row]
+    straddles = ((vp < lv) & (lv < vq)) | ((vq < lv) & (lv < vp))
+    appointed = np.zeros(candidates.size, dtype=bool)
+    appointed[row[straddles]] = True
+    level_list = level_idx.tolist()
+    for k in np.flatnonzero(appointed).tolist():
+        result.isoline_nodes[result.candidates[k]] = levels[level_list[k]]
     return result
 
 
@@ -127,35 +149,30 @@ def detect_isoline_nodes_straddle(
     """
     result = DetectionResult()
     levels = query.isolevels
+    state = network.node_state()
+    participants = np.flatnonzero(state.can_sense & state.routed)
 
     # Phase 1: one value broadcast per sensing, routed node -- afterwards
     # every node knows its neighbours' readings.
-    participants = [
-        node for node in network.nodes if node.can_sense and node.level is not None
-    ]
-    for node in participants:
-        alive_nbrs = network.alive_neighbors(node.node_id)
-        costs.charge_local_broadcast(node.node_id, alive_nbrs, BYTES_PER_PARAM)
+    _charge_broadcasts(network, state, participants, BYTES_PER_PARAM, costs)
 
     # Phase 2: local straddle decisions.
-    for node in participants:
-        vp = node.value
-        nbr_values = [
-            (j, network.nodes[j].value)
-            for j in network.sensing_neighbors(node.node_id)
-        ]
+    can_sense = state.can_sense.tolist()
+    values = state.value.tolist()
+    ops: List[int] = []
+    for i in participants.tolist():
+        vp = values[i]
+        nbr_values = [(j, values[j]) for j in network.neighbor_lists[i] if can_sense[j]]
         best_level = None
         best_gap = None
-        costs.charge_ops(
-            node.node_id, OPS_PER_STRADDLE_CHECK * max(1, len(nbr_values)) * len(levels)
-        )
+        ops.append(OPS_PER_STRADDLE_CHECK * max(1, len(nbr_values)) * len(levels))
         for level in levels:
             for j, vq in nbr_values:
                 if not ((vp < level < vq) or (vq < level < vp)):
                     continue
                 gap_p = abs(vp - level)
                 gap_q = abs(vq - level)
-                closer = gap_p < gap_q or (gap_p == gap_q and node.node_id < j)
+                closer = gap_p < gap_q or (gap_p == gap_q and i < j)
                 if not closer:
                     continue
                 if best_gap is None or gap_p < best_gap:
@@ -164,42 +181,67 @@ def detect_isoline_nodes_straddle(
                 break  # one straddling neighbour per level suffices
         if best_level is None:
             continue
-        result.candidates.append(node.node_id)
-        result.isoline_nodes[node.node_id] = best_level
+        result.candidates.append(i)
+        result.isoline_nodes[i] = best_level
+    costs.charge_ops_batch(participants, np.asarray(ops, dtype=np.int64))
 
     # Phase 3: appointed nodes probe for (value, x, y) tuples to feed the
     # regression, exactly as in border mode.
-    for node_id in result.isoline_nodes:
-        result.neighborhood_data[node_id] = _probe_neighborhood(
-            network, node_id, query.k_hop, costs
-        )
+    result.neighborhood_data = _probe(
+        network,
+        state,
+        np.asarray(result.candidates, dtype=np.int64),
+        query.k_hop,
+        costs,
+    )
     return result
 
 
-def _probe_neighborhood(
-    network: SensorNetwork, node_id: int, k_hop: int, costs: CostAccountant
-) -> List[Tuple[Vec, float]]:
-    """One local probe: returns the (position, value) replies it collects.
+def _charge_broadcasts(
+    network: SensorNetwork,
+    state: NodeState,
+    senders: np.ndarray,
+    nbytes: int,
+    costs: CostAccountant,
+) -> None:
+    """One local broadcast per sender: a single tx, one rx per alive
+    1-hop neighbour."""
+    heard = network.csr.gather(senders)
+    heard = heard[state.alive[heard]]
+    costs.charge_tx_batch(senders, np.full(senders.size, nbytes, dtype=np.int64))
+    costs.charge_rx_batch(heard, np.full(heard.size, nbytes, dtype=np.int64))
 
-    The prober broadcasts once, heard by its alive 1-hop neighbours;
-    every sensing-capable node within ``k_hop`` hops replies with
-    (value, x, y).  A reply from a 1-hop neighbour is charged one hop; a
-    reply from farther out is conservatively charged ``k_hop`` hops.
+
+def _probe(
+    network: SensorNetwork,
+    state: NodeState,
+    probers: np.ndarray,
+    k_hop: int,
+    costs: CostAccountant,
+) -> Dict[int, List[Tuple[Vec, float]]]:
+    """Every prober's local probe, as one batch.
+
+    Each prober broadcasts once, heard by its alive 1-hop neighbours;
+    every sensing-capable node within ``k_hop`` hops (through alive
+    nodes) replies with (value, x, y).  A reply from a 1-hop neighbour is
+    charged one hop; a reply from farther out is conservatively charged
+    ``k_hop`` hops.  Returns each prober's replies as
+    ``(app_position, value)`` in ascending responder id, keyed in
+    ``probers`` order.
     """
-    costs.charge_local_broadcast(
-        node_id, network.alive_neighbors(node_id), LOCAL_QUERY_BYTES
-    )
-    responders = network.k_hop_sensing_neighbors(node_id, k_hop)
-    one_hop_ids = frozenset(network.neighbor_lists[node_id]) if k_hop > 1 else None
-    data: List[Tuple[Vec, float]] = []
-    for j in responders:
-        hops = 1 if one_hop_ids is None or j in one_hop_ids else k_hop
-        # A reply travelling h hops is transmitted and received h times.
-        # The relaying neighbours' identities are routing details we do
-        # not simulate at this granularity, so the extra hops are charged
-        # to the endpoints as proxies -- the network-wide byte totals
-        # stay exact.
-        costs.charge_tx(j, LOCAL_REPLY_BYTES * hops)
-        costs.charge_rx(node_id, LOCAL_REPLY_BYTES * hops)
-        data.append((network.nodes[j].app_position, network.nodes[j].value))
-    return data
+    _charge_broadcasts(network, state, probers, LOCAL_QUERY_BYTES, costs)
+    owner, responder, hops = network.csr.k_hop_pairs(probers, k_hop, state.alive)
+    sensing = state.can_sense[responder]
+    owner, responder, hops = owner[sensing], responder[sensing], hops[sensing]
+    # A reply travelling h hops is transmitted and received h times.  The
+    # relaying neighbours' identities are routing details we do not
+    # simulate at this granularity, so the extra hops are charged to the
+    # endpoints as proxies -- the network-wide byte totals stay exact.
+    reply = LOCAL_REPLY_BYTES * np.where(hops == 1, 1, k_hop)
+    costs.charge_tx_batch(responder, reply)
+    costs.charge_rx_batch(owner, reply)
+    nodes = network.nodes
+    replies = [(nodes[j].app_position, nodes[j].value) for j in responder.tolist()]
+    lo = np.searchsorted(owner, probers, side="left").tolist()
+    hi = np.searchsorted(owner, probers, side="right").tolist()
+    return {p: replies[a:b] for p, a, b in zip(probers.tolist(), lo, hi)}

@@ -30,7 +30,7 @@ from repro.network.topology import (
 )
 from repro.network.routing_tree import RoutingTree, build_routing_tree
 from repro.network.accounting import CostAccountant
-from repro.network.network import SensorNetwork
+from repro.network.network import NodeState, SensorNetwork
 from repro.network.faults import (
     BernoulliLink,
     FaultEngine,
@@ -57,6 +57,7 @@ __all__ = [
     "RoutingTree",
     "build_routing_tree",
     "CostAccountant",
+    "NodeState",
     "SensorNetwork",
     "BernoulliLink",
     "GilbertElliottLink",

@@ -283,9 +283,7 @@ class FaultEngine:
         # Liveness snapshot for the batched paths.  Node liveness only
         # changes between epochs (fail_random / revive_all), never while
         # an engine is walking one, so the snapshot stays truthful.
-        self._net_alive = np.fromiter(
-            (nd.alive for nd in network.nodes), dtype=bool, count=network.n_nodes
-        )
+        self._net_alive = network.alive_mask()
         self._down_mask = np.zeros(network.n_nodes, dtype=bool)
         self._pending = self._build_schedule()
         self._cursor = 0
@@ -297,14 +295,15 @@ class FaultEngine:
     def _build_schedule(self) -> List[FaultEvent]:
         """Instantiate the plan's concrete events for this network.
 
-        The result is cached on the network object, keyed by the plan
-        fields the schedule depends on plus the network's routing-tree
-        version (liveness changes always rebuild the tree), so a sweep
-        that runs many protocols under the same plan on one deployment
-        builds the schedule once.
+        The latest schedule is kept on the network object, keyed by the
+        plan fields the schedule depends on plus the network's
+        routing-tree version (liveness changes always rebuild the tree),
+        so protocols run back to back under one plan on one deployment
+        build it once.  Only that one entry is kept: a run that draws a
+        fresh plan every epoch would otherwise grow the network by one
+        schedule per epoch.
         """
         plan = self.plan
-        cache = self.network.__dict__.setdefault("_fault_schedule_cache", {})
         key = (
             plan.seed,
             plan.crash_ratio,
@@ -312,24 +311,20 @@ class FaultEngine:
             plan.events,
             getattr(self.network, "_tree_version", 0),
         )
-        cached = cache.get(key)
-        if cached is not None:
-            return list(cached)
+        last = getattr(self.network, "_last_fault_schedule", None)
+        if last is not None and last[0] == key:
+            return list(last[1])
         events = self._build_schedule_uncached()
-        cache[key] = tuple(events)
+        self.network._last_fault_schedule = (key, tuple(events))
         return events
 
     def _build_schedule_uncached(self) -> List[FaultEvent]:
         rng = random.Random(f"{self.plan.seed}|schedule")
         tree = self.network.tree
         depth = max(1, tree.depth)
-        candidates = [
-            i
-            for i in range(self.network.n_nodes)
-            if i != self.network.sink_index
-            and self.network.nodes[i].alive
-            and tree.level[i] is not None
-        ]
+        # Ascending ids: ``rng.sample`` reads the list in this order.
+        routed = np.flatnonzero(self._net_alive & (tree.level_array >= 0))
+        candidates = routed[routed != self.network.sink_index].tolist()
         k = min(
             int(self.plan.crash_ratio * len(candidates) + 0.5), len(candidates)
         )

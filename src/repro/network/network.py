@@ -56,6 +56,23 @@ class TopologySkeleton:
     tree: "RoutingTree"
 
 
+@dataclass(frozen=True)
+class NodeState:
+    """Per-node state as arrays, read once per batched phase.
+
+    Attributes:
+        alive: ``node.alive``.
+        can_sense: ``node.can_sense`` (alive and sensing_ok).
+        routed: the node has a level in the network's routing tree.
+        value: ``node.value`` as float64 (the identical doubles).
+    """
+
+    alive: np.ndarray
+    can_sense: np.ndarray
+    routed: np.ndarray
+    value: np.ndarray
+
+
 class SensorNetwork:
     """A deployed, connected, routed sensor network over a scalar field.
 
@@ -221,8 +238,31 @@ class SensorNetwork:
         """Routing-tree depth: the paper's "network diameter" in hops."""
         return self.tree.depth
 
-    def alive_mask(self) -> List[bool]:
-        return [node.alive for node in self.nodes]
+    def alive_mask(self) -> np.ndarray:
+        """Per-node ``alive`` flags as a bool array (one pass, per call)."""
+        return np.fromiter(
+            (node.alive for node in self.nodes), dtype=bool, count=len(self.nodes)
+        )
+
+    def node_state(self) -> NodeState:
+        """Snapshot the per-node state the batched phases read.
+
+        Three passes over the nodes (``alive``, ``sensing_ok``, ``value``);
+        ``routed`` comes from the routing tree's cached levels.  The
+        snapshot is taken per call, never cached: ``alive`` and
+        ``sensing_ok`` are plain node attributes that callers may write
+        directly.
+        """
+        nodes = self.nodes
+        n = len(nodes)
+        alive = self.alive_mask()
+        sensing_ok = np.fromiter((nd.sensing_ok for nd in nodes), dtype=bool, count=n)
+        return NodeState(
+            alive=alive,
+            can_sense=alive & sensing_ok,
+            routed=self.tree.level_array >= 0,
+            value=np.fromiter((nd.value for nd in nodes), dtype=np.float64, count=n),
+        )
 
     def alive_count(self) -> int:
         return sum(1 for node in self.nodes if node.alive)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -39,12 +40,24 @@ class RoutingTree:
     parent: List[Optional[int]]
     children: List[List[int]]
 
-    @property
+    # A tree is never mutated after it is built (a rebuild makes a new
+    # tree), so its array views and depth are computed once.
+
+    @cached_property
+    def level_array(self) -> np.ndarray:
+        """``level`` as int64, -1 where there is none."""
+        return _optional_ints(self.level)
+
+    @cached_property
+    def parent_array(self) -> np.ndarray:
+        """``parent`` as int64, -1 where there is none."""
+        return _optional_ints(self.parent)
+
+    @cached_property
     def depth(self) -> int:
         """Maximum level over reachable nodes (the network diameter proxy
         used by Figs. 14-16: "network diameter varies from 10 to 50 hops")."""
-        levels = [l for l in self.level if l is not None]
-        return max(levels) if levels else 0
+        return int(self.level_array.max(initial=0))
 
     def reachable_count(self) -> int:
         return sum(1 for l in self.level if l is not None)
@@ -84,6 +97,16 @@ class RoutingTree:
             key=lambda i: -(self.level[i] or 0),
         )
         return order
+
+
+def _optional_ints(values: Sequence[Optional[int]]) -> np.ndarray:
+    """``values`` as a read-only int64 array, -1 for None (the tree's
+    array views are shared by every reader)."""
+    arr = np.fromiter(
+        (-1 if v is None else v for v in values), dtype=np.int64, count=len(values)
+    )
+    arr.flags.writeable = False
+    return arr
 
 
 def build_routing_tree(
@@ -133,7 +156,7 @@ def _build_routing_tree_csr(
     if alive is None:
         live = np.ones(n, dtype=bool)
     else:
-        live = np.asarray(list(alive), dtype=bool)
+        live = np.array(alive, dtype=bool)
     if not live[sink]:
         raise ValueError("the sink must be alive")
 

@@ -306,35 +306,84 @@ class CsrAdjacency:
             seen[frontier] = True
         return seen
 
+    def k_hop_pairs(
+        self,
+        sources: Sequence[int],
+        k: int,
+        alive: Optional[Sequence[bool]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ``(source, node)`` pair within ``k`` hops, for all sources.
+
+        One multi-source frontier BFS: each hop ring is one :meth:`gather`
+        over every source's frontier at once, and the ring's pairs are
+        deduplicated by one sorted unique over ``owner * n + node`` keys.
+        A pair found at ring ``h`` that is not new was seen at ring
+        ``h - 1`` or ``h - 2`` (BFS distances of adjacent nodes differ by
+        at most one), so only those two rings are kept to filter against.
+        Paths run through ``alive`` nodes only, and a source is never its
+        own pair (the semantics of the set-based :func:`k_hop_neighbors`).
+
+        Args:
+            sources: distinct node ids.
+            k: hop radius (0 yields no pairs).
+            alive: liveness mask (None = every node alive).
+
+        Returns:
+            ``(owner, node, hops)`` int64 arrays sorted by
+            ``(owner, node)``; ``hops`` is the pair's hop distance.
+        """
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        n = np.int64(self.n_nodes)
+        alive_arr = None if alive is None else np.asarray(alive, dtype=bool)
+        owner = _sorted_unique(np.asarray(sources, dtype=np.int64))
+        node = owner
+        rings = [owner * n + owner]
+        for _ in range(k):
+            counts = self.indptr[node + 1] - self.indptr[node]
+            cand = self.gather(node)
+            own = np.repeat(owner, counts)
+            if alive_arr is not None:
+                live = alive_arr[cand]
+                cand, own = cand[live], own[live]
+            keys = _sorted_unique(own * n + cand)
+            for prev in rings[-2:]:
+                keys = keys[~np.isin(keys, prev, assume_unique=True)]
+            if keys.size == 0:
+                break
+            rings.append(keys)
+            owner, node = np.divmod(keys, n)
+        keys = np.concatenate(rings[1:] or [np.empty(0, dtype=np.int64)])
+        hops = np.repeat(
+            np.arange(1, len(rings), dtype=np.int64), [len(r) for r in rings[1:]]
+        )
+        order = np.argsort(keys, kind="stable")
+        owner, node = np.divmod(keys[order], n)
+        return owner, node, hops[order]
+
     def k_hop_neighbors(
         self, start: int, k: int, alive: Optional[Sequence[bool]] = None
     ) -> np.ndarray:
         """All nodes within ``k`` hops of ``start`` (excluding ``start``).
 
-        Vectorized frontier BFS: each hop gathers every frontier node's
-        CSR block in one ragged batch, masks dead/visited nodes, and
-        dedupes with ``np.unique``.  Returns a sorted int64 array; agrees
-        exactly with the set-based :func:`k_hop_neighbors`.
+        The one-source case of :meth:`k_hop_pairs`.  Returns a sorted
+        int64 array; agrees exactly with the set-based
+        :func:`k_hop_neighbors`.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        n = self.n_nodes
-        alive_arr = None if alive is None else np.asarray(alive, dtype=bool)
-        seen = np.zeros(n, dtype=bool)
-        seen[start] = True
-        out = np.zeros(n, dtype=bool)
-        frontier = np.array([start], dtype=np.int64)
-        for _ in range(k):
-            cand = self.gather(frontier)
-            if alive_arr is not None:
-                cand = cand[alive_arr[cand]]
-            cand = cand[~seen[cand]]
-            if cand.size == 0:
-                break
-            frontier = np.unique(cand)
-            seen[frontier] = True
-            out[frontier] = True
-        return np.nonzero(out)[0]
+        return self.k_hop_pairs([start], k, alive)[1]
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by sort and neighbour compare.
+
+    The same result.  NumPy 2.4's hash-based ``np.unique`` took 6-80x
+    longer on 1,500 to 10^6 int64 keys (0.78 s against 0.025 s at 10^6).
+    """
+    out = np.sort(values)
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def average_degree(adj, alive: Sequence[bool] = None) -> float:

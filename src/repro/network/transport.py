@@ -680,12 +680,8 @@ class EpochTransport:
         assert engine is not None
         tree = self.network.tree
         cfg = self.config
-        levels_arr = np.array(
-            [-1 if l is None else l for l in tree.level], dtype=np.int64
-        )
-        parent_arr = np.array(
-            [-1 if p is None else p for p in tree.parent], dtype=np.int64
-        )
+        levels_arr = tree.level_array
+        parent_arr = tree.parent_array
         for lvl in range(tree.depth, 0, -1):
             members = np.flatnonzero(levels_arr == lvl)
             if members.size == 0:
@@ -1090,13 +1086,22 @@ class EpochTransport:
 def disseminate_query(
     network: SensorNetwork, query_bytes: int, costs: CostAccountant
 ) -> None:
-    """Flood a query down the routing tree (one broadcast per internal node)."""
-    for node in network.nodes:
-        if node.level is None or not node.alive:
-            continue
-        kids = [c for c in node.children if network.nodes[c].level is not None]
-        if kids:
-            costs.charge_local_broadcast(node.node_id, kids, query_bytes)
+    """Flood a query down the routing tree (one broadcast per internal node).
+
+    Every routed child of an alive, routed parent receives the query, and
+    each such parent transmits it once.  (A node with a tree parent is
+    routed, and so is its parent.)
+    """
+    parent = network.tree.parent_array
+    kids = np.flatnonzero(parent >= 0)
+    parents = parent[kids]
+    heard = network.alive_mask()[parents]
+    kids = kids[heard]
+    sends = np.zeros(parent.size, dtype=bool)
+    sends[parents[heard]] = True
+    senders = np.flatnonzero(sends)
+    costs.charge_tx_batch(senders, np.full(senders.size, query_bytes, dtype=np.int64))
+    costs.charge_rx_batch(kids, np.full(kids.size, query_bytes, dtype=np.int64))
 
 
 def forward_reports_to_sink(
@@ -1192,12 +1197,8 @@ def _zero_fault_closed_form(
     for s, size in frames:
         counts[s] += 1
         nbytes[s] += size
-    parent_arr = np.array(
-        [-1 if p is None else p for p in tree.parent], dtype=np.int64
-    )
-    levels = np.array(
-        [-1 if l is None else l for l in tree.level], dtype=np.int64
-    )
+    parent_arr = tree.parent_array
+    levels = tree.level_array
     for lvl in range(tree.depth, 0, -1):
         members = np.flatnonzero(levels == lvl)
         if members.size == 0:

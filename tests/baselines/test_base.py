@@ -1,10 +1,12 @@
 """Unit tests for shared baseline infrastructure."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.baselines.base import NearestReportBandMap
-from repro.field import PlaneField
+from repro.field import PlaneField, RadialField
 from repro.geometry import BoundingBox
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.transport import disseminate_query, forward_reports_to_sink
@@ -61,6 +63,40 @@ class TestNearestReportBandMap:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             NearestReportBandMap(BOX, [(0, 0)], [1.0, 2.0], [5.0])
+
+
+def disseminate_reference(network, query_bytes, costs):
+    """The per-node query flood the batched one replaced."""
+    for node in network.nodes:
+        if node.level is None or not node.alive:
+            continue
+        kids = [c for c in node.children if network.nodes[c].level is not None]
+        if kids:
+            costs.charge_local_broadcast(node.node_id, kids, query_bytes)
+
+
+class TestDissemination:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_node_reference(self, seed):
+        field = RadialField(BoundingBox(0, 0, 20, 20), center=(10, 10), peak=20)
+        net = SensorNetwork.random_deploy(field, 400, radio_range=1.6, seed=seed)
+
+        def check():
+            costs = CostAccountant(net.n_nodes)
+            ref = CostAccountant(net.n_nodes)
+            disseminate_query(net, 7, costs)
+            disseminate_reference(net, 7, ref)
+            assert np.array_equal(costs.tx_bytes, ref.tx_bytes)
+            assert np.array_equal(costs.rx_bytes, ref.rx_bytes)
+            assert costs.tx_bytes.any()
+
+        check()
+        net.fail_random(0.2, rng=random.Random(seed), mode="crash")
+        check()
+        # A direct write with no tree rebuild leaves routed, dead parents.
+        for node in net.nodes[1::9]:
+            node.alive = False
+        check()
 
 
 class TestForwarding:

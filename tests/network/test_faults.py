@@ -104,6 +104,77 @@ class TestLinkModels:
         assert delivered(mixed) == pytest.approx(mixed.average_delivery(), abs=0.02)
 
 
+class TestScheduleCache:
+    """The schedule of the latest plan is kept per network, and only it."""
+
+    def _count_builds(self, monkeypatch):
+        built = []
+        build = FaultEngine._build_schedule_uncached
+
+        def counting(engine):
+            built.append(engine.plan.seed)
+            return build(engine)
+
+        monkeypatch.setattr(FaultEngine, "_build_schedule_uncached", counting)
+        return built
+
+    def test_same_plan_twice_builds_once(self, monkeypatch):
+        net = dense_net(seed=8)
+        built = self._count_builds(monkeypatch)
+        plan = FaultPlan.moderate(seed=3)
+        a, b = FaultEngine(plan, net), FaultEngine(plan, net)
+        assert built == [3]
+        a.finish_epoch()
+        b.finish_epoch()
+        assert a.crashed_nodes == b.crashed_nodes
+        # Another plan takes the one slot; the first plan then rebuilds.
+        FaultEngine(FaultPlan.moderate(seed=4), net)
+        FaultEngine(plan, net)
+        assert built == [3, 4, 3]
+
+    def test_fresh_plans_leave_one_schedule(self, monkeypatch):
+        net = dense_net(seed=8)
+        built = self._count_builds(monkeypatch)
+        for seed in range(50):
+            FaultEngine(FaultPlan.at_intensity(0.5, seed=seed), net)
+        assert built == list(range(50))
+        held = [v for k, v in vars(net).items() if "schedule" in k]
+        assert len(held) == 1
+        key, schedule = held[0]
+        assert key[0] == 49 and schedule
+
+    def test_tree_rebuild_invalidates(self, monkeypatch):
+        net = dense_net(seed=8)
+        built = self._count_builds(monkeypatch)
+        plan = FaultPlan.moderate(seed=3)
+        FaultEngine(plan, net)
+        net.fail_random(0.1, mode="crash")
+        engine = FaultEngine(plan, net)
+        assert built == [3, 3]
+        engine.finish_epoch()
+        assert all(net.nodes[i].alive for i in engine.crashed_nodes)
+
+    def test_crashers_follow_ascending_candidates(self):
+        # ``rng.sample`` reads the candidate list in ascending id order.
+        import random
+
+        net = dense_net(seed=9)
+        net.fail_random(0.1, mode="crash")
+        plan = FaultPlan(seed=5, crash_ratio=0.2)
+        candidates = [
+            i
+            for i in range(net.n_nodes)
+            if i != net.sink_index
+            and net.nodes[i].alive
+            and net.tree.level[i] is not None
+        ]
+        rng = random.Random(f"{plan.seed}|schedule")
+        want = rng.sample(candidates, int(0.2 * len(candidates) + 0.5))
+        engine = FaultEngine(plan, net)
+        engine.finish_epoch()
+        assert sorted(engine.crashed_nodes) == sorted(want)
+
+
 class TestFaultEngine:
     def test_schedule_is_deterministic(self):
         net = dense_net(seed=1)

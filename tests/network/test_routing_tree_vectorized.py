@@ -9,6 +9,7 @@ children in the identical order -- on any graph and any liveness mask.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.field import RadialField
@@ -41,6 +42,15 @@ def _assert_trees_equal(fast, ref):
     assert fast.parent == ref.parent
     assert fast.children == ref.children
     assert fast.subtree_order_bottom_up() == ref.subtree_order_bottom_up()
+    # The cached array views match the lists and are read-only.
+    for tree in (fast, ref):
+        assert tree.level_array.tolist() == [-1 if l is None else l for l in tree.level]
+        assert tree.parent_array.tolist() == [-1 if p is None else p for p in tree.parent]
+        assert tree.level_array.dtype == tree.parent_array.dtype == np.int64
+        assert not tree.level_array.flags.writeable
+        assert not tree.parent_array.flags.writeable
+    depth = max((l for l in ref.level if l is not None), default=0)
+    assert fast.depth == ref.depth == depth
 
 
 class TestVectorizedTreeBuilder:

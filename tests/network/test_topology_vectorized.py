@@ -1,6 +1,7 @@
 """Differential tests: vectorized adjacency/k-hop vs brute force.
 
-The vectorized kernels (:func:`build_csr_adjacency` and
+The vectorized kernels (:func:`build_csr_adjacency`,
+:meth:`CsrAdjacency.k_hop_pairs` and its one-source case
 :meth:`CsrAdjacency.k_hop_neighbors`) must agree *exactly* -- same sets,
 not approximately the same -- with both a quadratic brute-force oracle
 and the original per-node spatial-hash implementation
@@ -189,3 +190,60 @@ def test_flood_reaches_the_live_component():
         reached = k_hop_neighbors(sets, start, len(pts), alive=live.tolist())
         want = sorted(reached | {start})
         assert np.flatnonzero(csr.flood(start, live)).tolist() == want
+
+
+def _pairs_reference(sets, sources, k, alive=None):
+    """Per-source set BFS: sorted (owner, node, hops) triples."""
+    out = []
+    for s in sorted(set(sources)):
+        prev = set()
+        for h in range(1, k + 1):
+            ring = k_hop_neighbors(sets, s, h, alive=alive) - prev
+            out.extend((s, v, h) for v in ring)
+            prev |= ring
+    return sorted(out)
+
+
+def _pairs(csr, sources, k, alive=None):
+    owner, node, hops = csr.k_hop_pairs(np.asarray(sources, dtype=np.int64), k, alive)
+    for arr in (owner, node, hops):
+        assert arr.dtype == np.int64
+    return list(zip(owner.tolist(), node.tolist(), hops.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_k_hop_pairs_match_set_based(seed):
+    rng = random.Random(seed)
+    n = rng.choice([40, 150, 300])
+    pts = [(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(n)]
+    csr = build_csr_adjacency(pts, rng.choice([1.0, 1.5, 2.5]))
+    sets = csr.to_sets()
+    alive = [rng.random() > 0.3 for _ in pts]
+    sources = rng.sample(range(n), rng.randint(1, n))
+    for k in (0, 1, 2, 3):
+        for mask in (None, alive):
+            want = _pairs_reference(sets, sources, k, alive=mask)
+            assert _pairs(csr, sources, k, mask) == want
+            mask_arr = None if mask is None else np.asarray(mask)
+            assert _pairs(csr, sources, k, mask_arr) == want
+
+
+def test_k_hop_pairs_edge_cases():
+    # A path 0-1-2-3 plus an isolated node 4.
+    pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (9.0, 9.0)]
+    csr = build_csr_adjacency(pts, 1.2)
+    sets = csr.to_sets()
+    # k far beyond the diameter: every reachable node, once, at its distance.
+    assert _pairs(csr, [0], 50) == [(0, 1, 1), (0, 2, 2), (0, 3, 3)]
+    assert _pairs(csr, [4], 3) == []  # isolated source
+    # A dead source still expands (the set-based semantics), and a dead
+    # relay cuts the path beyond it.
+    alive = [False, True, False, True, True]
+    assert _pairs(csr, [0], 3, alive) == [(0, 1, 1)]
+    assert _pairs(csr, [0, 3, 4], 3, alive) == _pairs_reference(
+        sets, [0, 3, 4], 3, alive
+    )
+    assert _pairs(csr, [], 2) == []
+    assert _pairs(csr, [2, 1], 1) == [(1, 0, 1), (1, 2, 1), (2, 1, 1), (2, 3, 1)]
+    with pytest.raises(ValueError):
+        csr.k_hop_pairs(np.array([0]), -1)
