@@ -26,7 +26,6 @@ from repro.field import extract_isolines, make_harbor_field
 from repro.geometry import BoundingBox, bounded_voronoi
 from repro.network import (
     SensorNetwork,
-    build_adjacency,
     build_adjacency_reference,
     build_csr_adjacency,
 )
@@ -69,8 +68,8 @@ def test_kernel_level_reconstruction_60_reports(benchmark):
 def test_kernel_adjacency_2500_nodes(benchmark):
     rng = random.Random(2)
     pts = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(2500)]
-    adj = benchmark(build_adjacency, pts, 1.5)
-    assert len(adj) == 2500
+    csr = benchmark(build_csr_adjacency, pts, 1.5)
+    assert csr.n_nodes == 2500
 
 
 def test_kernel_full_protocol_2500(benchmark, harbor_net):
@@ -161,7 +160,7 @@ def test_kernel_speedups_vs_reference():
 
     ref_sets = build_adjacency_reference(pts, 1.5)
     csr = build_csr_adjacency(arr, 1.5)
-    assert csr.to_sets() == ref_sets
+    assert [set(csr.neighbors(i).tolist()) for i in range(BENCH_N)] == ref_sets
     assert np.array_equal(
         csr.k_hop_neighbors(0, 2), np.array(sorted(k_hop_neighbors(ref_sets, 0, 2)))
     )

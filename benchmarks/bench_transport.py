@@ -90,11 +90,8 @@ def _run_epoch(net: SensorNetwork, batched: bool, seed: int = 3):
         config=dataclasses.replace(TransportConfig.hardened(), batched=batched),
         plan=FaultPlan.moderate(seed=seed),
     )
-    sources = [
-        node.node_id
-        for node in net.nodes
-        if node.can_sense and node.level is not None
-    ]
+    state = net.node_state()
+    sources = np.flatnonzero(state.can_sense & state.routed).tolist()
     delivered = forward_reports_to_sink(
         net, [(s, VALUE_REPORT_BYTES) for s in sources], costs, transport=transport
     )
@@ -113,13 +110,19 @@ def _verify_epoch(net: SensorNetwork) -> None:
     assert dataclasses.asdict(g_fast) == dataclasses.asdict(g_ref)
 
 
+def _reference_inputs(net: SensorNetwork):
+    """The scalar builder's inputs: position tuples and per-node
+    neighbour lists read off the CSR (built outside any timed call)."""
+    positions = [tuple(p) for p in net.positions_array.tolist()]
+    lists = [net.csr.neighbors(i).tolist() for i in range(net.n_nodes)]
+    return positions, lists
+
+
 def _verify_tree(net: SensorNetwork) -> None:
-    positions = [node.position for node in net.nodes]
-    fast = build_routing_tree(positions, net.csr, net.sink_index)
-    ref = build_routing_tree_reference(positions, net.neighbor_lists, net.sink_index)
-    assert fast.level == ref.level
-    assert fast.parent == ref.parent
-    assert fast.children == ref.children
+    fast = build_routing_tree(net.positions_array, net.csr, net.sink_index)
+    ref = build_routing_tree_reference(*_reference_inputs(net), net.sink_index)
+    assert np.array_equal(fast.level, ref.level)
+    assert np.array_equal(fast.parent, ref.parent)
 
 
 def measure(n: int, quick: bool) -> Dict[str, Dict]:
@@ -139,14 +142,13 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
     )
 
     _verify_tree(net)
-    positions = [node.position for node in net.nodes]
+    positions, lists = _reference_inputs(net)
     fast_ms = record.best_of(
-        lambda: build_routing_tree(positions, net.csr, net.sink_index), repeats
+        lambda: build_routing_tree(net.positions_array, net.csr, net.sink_index),
+        repeats,
     )
     ref_ms = record.best_of(
-        lambda: build_routing_tree_reference(
-            positions, net.neighbor_lists, net.sink_index
-        ),
+        lambda: build_routing_tree_reference(positions, lists, net.sink_index),
         repeats,
     )
     kernels["tree_build"] = record.kernel_entry(

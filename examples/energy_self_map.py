@@ -51,21 +51,25 @@ def main() -> None:
         f"max {residual_pct.max():.1f}%"
     )
     sink = network.sink_index
+    nbrs = network.csr.neighbors(sink)
+    funnel = np.concatenate(([sink], nbrs[network.alive[nbrs]]))
     print(f"sink-adjacent funnel: node {sink} neighbourhood at "
-          f"{residual_pct[[sink] + network.alive_neighbors(sink)].mean():.1f}%")
+          f"{residual_pct[funnel].mean():.1f}%")
 
     # A single node's battery gauge is noisy (whether it happened to be
     # an isoline node or a relay is a per-epoch lottery), so nodes gossip
     # battery levels with their 1-hop neighbours and report the
     # neighbourhood average -- two gossip rounds smooth the lottery while
     # keeping the spatial structure.
+    csr = network.csr
+    degree = np.diff(csr.indptr)
+    row = np.repeat(np.arange(network.n_nodes), degree)
     smoothed = residual_pct.copy()
     for _ in range(2):
-        averaged = np.empty_like(smoothed)
-        for i in range(network.n_nodes):
-            clique = [i] + list(network.adjacency[i])
-            averaged[i] = smoothed[clique].mean()
-        smoothed = averaged
+        clique_sum = smoothed + np.bincount(
+            row, weights=smoothed[csr.indices], minlength=network.n_nodes
+        )
+        smoothed = clique_sum / (degree + 1)
 
     # Residual battery is heavily skewed (most nodes near-full, drained
     # stripes along the worked isolines, a basin at the funnel), so chart
@@ -76,14 +80,11 @@ def main() -> None:
 
     # The network senses its OWN energy: each node's reading is the
     # gossiped battery average; the field is their interpolation.
-    energy_field = ScatteredField(
-        network.bounds,
-        [node.position for node in network.nodes],
-        list(smoothed),
-    )
+    positions = [tuple(p) for p in network.positions_array.tolist()]
+    energy_field = ScatteredField(network.bounds, positions, list(smoothed))
     energy_net = SensorNetwork(
         energy_field,
-        [node.position for node in network.nodes],
+        positions,
         radio_range=network.radio_range,
         sink_index=network.sink_index,
     )

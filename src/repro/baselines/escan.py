@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.baselines.base import NearestReportBandMap, ProtocolRun
 from repro.core.wire import BYTES_PER_PARAM, QUERY_BYTES
 from repro.geometry import Vec, dist_sq
@@ -126,19 +128,16 @@ class EScanProtocol:
         )
 
         buffers: Dict[int, List[ScanTuple]] = {}
-        generated = 0
-        for node in network.nodes:
-            if node.can_sense and node.level is not None:
-                buffers[node.node_id] = [
-                    ScanTuple(
-                        node.value,
-                        node.value,
-                        [node.position],
-                        1,
-                        rids=[transport.register()],
-                    )
-                ]
-                generated += 1
+        state = network.node_state()
+        sources = np.flatnonzero(state.can_sense & state.routed)
+        for i, value, point in zip(
+            sources.tolist(),
+            network.value[sources].tolist(),
+            network.positions_array[sources].tolist(),
+        ):
+            buffers[i] = [
+                ScanTuple(value, value, [tuple(point)], 1, rids=[transport.register()])
+            ]
 
         tree = network.tree
 
@@ -165,7 +164,7 @@ class EScanProtocol:
             for rid in tup.rids:
                 transport.deliver_at_sink(rid)
         degradation = transport.finalize()
-        costs.reports_generated = generated
+        costs.reports_generated = len(sources)
         costs.reports_delivered = len(final_tuples)
 
         positions: List[Vec] = []

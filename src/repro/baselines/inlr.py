@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.baselines.base import NearestReportBandMap, ProtocolRun
 from repro.core.wire import BYTES_PER_PARAM, QUERY_BYTES
 from repro.field.contours import band_of
@@ -141,18 +143,22 @@ class INLRProtocol:
 
         # Per-node region buffers, filled bottom-up.
         buffers: Dict[int, List[Region]] = {}
-        generated = 0
-        for node in network.nodes:
-            if node.can_sense and node.level is not None:
-                region = Region(
-                    band=band_of(node.value, self.levels),
-                    points=[node.position],
-                    values=[node.value],
+        state = network.node_state()
+        sources = np.flatnonzero(state.can_sense & state.routed)
+        for i, value, point in zip(
+            sources.tolist(),
+            network.value[sources].tolist(),
+            network.positions_array[sources].tolist(),
+        ):
+            buffers[i] = [
+                Region(
+                    band=band_of(value, self.levels),
+                    points=[tuple(point)],
+                    values=[value],
                     size=1,
                     rids=[transport.register()],
                 )
-                buffers[node.node_id] = [region]
-                generated += 1
+            ]
 
         tree = network.tree
 
@@ -181,7 +187,7 @@ class INLRProtocol:
             for rid in region.rids:
                 transport.deliver_at_sink(rid)
         degradation = transport.finalize()
-        costs.reports_generated = generated
+        costs.reports_generated = len(sources)
         costs.reports_delivered = len(final_regions)
 
         band_map = self._sink_map(network, final_regions)

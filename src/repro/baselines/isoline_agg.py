@@ -30,7 +30,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.baselines.base import NearestReportBandMap, ProtocolRun
+from repro.core.detection import (
+    border_candidates,
+    charge_broadcasts,
+    sensing_neighbours,
+    straddling,
+)
 from repro.core.query import ContourQuery
 from repro.core.wire import BYTES_PER_PARAM, LOCAL_QUERY_BYTES, QUERY_BYTES, VALUE_REPORT_BYTES
 from repro.geometry import Vec, dist_sq
@@ -94,7 +102,7 @@ class IsolineAggregationProtocol:
 
         band_map = NearestReportBandMap(
             network.bounds,
-            [network.nodes[i].app_position for i in delivered],
+            [tuple(p) for p in network.app_positions(delivered).tolist()],
             [isoline_nodes[i] for i in delivered],
             self.query.isolevels,
         )
@@ -113,31 +121,29 @@ class IsolineAggregationProtocol:
     def _detect(
         self, network: SensorNetwork, costs: CostAccountant
     ) -> Dict[int, float]:
-        """Definition 3.1 detection with value-only neighbourhood probes."""
-        out: Dict[int, float] = {}
+        """Definition 3.1 detection with value-only neighbourhood probes.
+
+        Each candidate broadcasts one probe, heard by its alive 1-hop
+        neighbours; each sensing 1-hop neighbour replies with its value,
+        which the candidate checks for a straddle.  Array passes over
+        every node, as in :func:`~repro.core.detection.detect_isoline_nodes`.
+        """
+        state = network.node_state()
+        candidates, level_idx = border_candidates(state, self.query, costs, OPS_PER_CHECK)
+        charge_broadcasts(network, state, candidates, LOCAL_QUERY_BYTES, costs)
+        row, nbr = sensing_neighbours(network, state, candidates)
+        reply = np.full(nbr.size, VALUE_REPLY_BYTES, dtype=np.int64)
+        costs.charge_tx_batch(nbr, reply)
+        costs.charge_rx_batch(candidates[row], reply)
+        costs.charge_ops_batch(
+            candidates, OPS_PER_CHECK * np.bincount(row, minlength=candidates.size)
+        )
+        appointed = straddling(state, candidates, level_idx, self.query, row, nbr)
         levels = self.query.isolevels
-        for node in network.nodes:
-            if not node.can_sense or node.level is None:
-                continue
-            costs.charge_ops(node.node_id, OPS_PER_CHECK * len(levels))
-            level = self.query.matching_isolevel(node.value)
-            if level is None:
-                continue
-            alive_nbrs = network.alive_neighbors(node.node_id)
-            costs.charge_local_broadcast(
-                node.node_id, alive_nbrs, LOCAL_QUERY_BYTES
-            )
-            straddles = False
-            for j in network.sensing_neighbors(node.node_id):
-                costs.charge_tx(j, VALUE_REPLY_BYTES)
-                costs.charge_rx(node.node_id, VALUE_REPLY_BYTES)
-                costs.charge_ops(node.node_id, OPS_PER_CHECK)
-                vq = network.nodes[j].value
-                if (node.value < level < vq) or (vq < level < node.value):
-                    straddles = True
-            if straddles:
-                out[node.node_id] = level
-        return out
+        return {
+            i: levels[k]
+            for i, k in zip(candidates[appointed].tolist(), level_idx[appointed].tolist())
+        }
 
     def _collect(
         self,
@@ -154,9 +160,12 @@ class IsolineAggregationProtocol:
         outbox: Dict[int, List[tuple]] = {}
         delivered: List[int] = []
 
+        ids = np.fromiter(isoline_nodes, dtype=np.int64, count=len(isoline_nodes))
+        app = dict(zip(ids.tolist(), map(tuple, network.app_positions(ids).tolist())))
+
         def offer(holder: int, source: int, level: float) -> bool:
             state = kept.setdefault(holder, {}).setdefault(level, [])
-            p = network.nodes[source].app_position
+            p = app[source]
             for q in state:
                 costs.charge_ops(holder, OPS_PER_FILTER_COMPARISON)
                 if dist_sq(p, q) <= sd2:

@@ -92,8 +92,8 @@ class DataSuppressionProtocol:
 
         band_map = NearestReportBandMap(
             network.bounds,
-            [network.nodes[i].position for i in delivered],
-            [network.nodes[i].value for i in delivered],
+            [tuple(p) for p in network.positions_array[delivered].tolist()],
+            network.value[delivered].tolist(),
             self.levels,
         )
         return ProtocolRun(

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.baselines.base import NearestReportBandMap, ProtocolRun
 from repro.core.wire import GRID_REPORT_BYTES, QUERY_BYTES, VALUE_REPORT_BYTES
 from repro.network import CostAccountant, SensorNetwork
@@ -65,11 +67,8 @@ class TinyDBProtocol:
         costs = CostAccountant(network.n_nodes)
         disseminate_query(network, QUERY_BYTES, costs)
 
-        sources = [
-            node.node_id
-            for node in network.nodes
-            if node.can_sense and node.level is not None
-        ]
+        state = network.node_state()
+        sources = np.flatnonzero(state.can_sense & state.routed).tolist()
         transport = EpochTransport(
             network, costs, config=self.transport_config, plan=self.fault_plan
         )
@@ -86,8 +85,8 @@ class TinyDBProtocol:
 
         band_map = NearestReportBandMap(
             network.bounds,
-            [network.nodes[i].position for i in delivered],
-            [network.nodes[i].value for i in delivered],
+            [tuple(p) for p in network.positions_array[delivered].tolist()],
+            network.value[delivered].tolist(),
             self.levels,
         )
         return ProtocolRun(

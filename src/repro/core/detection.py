@@ -71,8 +71,8 @@ def detect_isoline_nodes(
     Computation charged: the border-region comparisons at every node and
     the straddle checks at candidates.
 
-    Every node's checks run as array passes over one
-    :meth:`~repro.network.SensorNetwork.node_state` snapshot, and all
+    Every node's checks run as array passes over
+    :meth:`~repro.network.SensorNetwork.node_state`, and all
     candidates probe in one batch, so the phase costs the sum of the
     probed neighbourhoods rather than candidates x n.
     """
@@ -80,48 +80,77 @@ def detect_isoline_nodes(
         return detect_isoline_nodes_straddle(network, query, costs)
     result = DetectionResult()
     levels = query.isolevels
-    eps = query.epsilon
     state = network.node_state()
-    participants = np.flatnonzero(state.can_sense & state.routed)
-
-    # Condition 1: each node's own value against each border region, in
-    # ascending level order (the first match wins, as in
-    # ContourQuery.matching_isolevel).
-    costs.charge_ops_batch(
-        participants,
-        np.full(participants.size, OPS_PER_LEVEL_CHECK * len(levels), dtype=np.int64),
-    )
-    vp = state.value[participants]
-    match = np.full(participants.size, -1, dtype=np.int64)
-    for idx, v in enumerate(levels):
-        match[(match < 0) & (np.abs(vp - v) <= eps)] = idx
-    hit = match >= 0
-    candidates = participants[hit]
-    level_idx = match[hit]
-    cand_levels = np.asarray(levels, dtype=np.float64)[level_idx]
+    candidates, level_idx = border_candidates(state, query, costs, OPS_PER_LEVEL_CHECK)
     result.candidates = candidates.tolist()
     result.neighborhood_data = _probe(network, state, candidates, query.k_hop, costs)
 
     # Condition 2: some sensing 1-hop neighbour straddles the isolevel.
-    csr = network.csr
-    nbr = csr.gather(candidates)
-    row = np.repeat(
-        np.arange(candidates.size), csr.indptr[candidates + 1] - csr.indptr[candidates]
-    )
-    sensing = state.can_sense[nbr]
-    nbr, row = nbr[sensing], row[sensing]
+    row, nbr = sensing_neighbours(network, state, candidates)
     costs.charge_ops_batch(
         candidates,
         OPS_PER_STRADDLE_CHECK * np.bincount(row, minlength=candidates.size),
     )
-    vp, vq, lv = state.value[candidates[row]], state.value[nbr], cand_levels[row]
-    straddles = ((vp < lv) & (lv < vq)) | ((vq < lv) & (lv < vp))
-    appointed = np.zeros(candidates.size, dtype=bool)
-    appointed[row[straddles]] = True
-    level_list = level_idx.tolist()
-    for k in np.flatnonzero(appointed).tolist():
-        result.isoline_nodes[result.candidates[k]] = levels[level_list[k]]
+    appointed = straddling(state, candidates, level_idx, query, row, nbr)
+    for i, k in zip(candidates[appointed].tolist(), level_idx[appointed].tolist()):
+        result.isoline_nodes[i] = levels[k]
     return result
+
+
+def border_candidates(
+    state: NodeState, query: ContourQuery, costs: CostAccountant, ops_per_level: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Definition 3.1's condition 1 at every sensing, routed node.
+
+    Each value is tested against each border region in ascending level
+    order (the first match wins, as in
+    :meth:`ContourQuery.matching_isolevel`), charging ``ops_per_level``
+    per level at every node.  Returns the matching nodes and each one's
+    index into ``query.isolevels``.
+    """
+    participants = np.flatnonzero(state.can_sense & state.routed)
+    costs.charge_ops_batch(
+        participants,
+        np.full(participants.size, ops_per_level * len(query.isolevels), dtype=np.int64),
+    )
+    vp = state.value[participants]
+    match = np.full(participants.size, -1, dtype=np.int64)
+    for idx, v in enumerate(query.isolevels):
+        match[(match < 0) & (np.abs(vp - v) <= query.epsilon)] = idx
+    hit = match >= 0
+    return participants[hit], match[hit]
+
+
+def sensing_neighbours(
+    network: SensorNetwork, state: NodeState, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every sensing-capable 1-hop neighbour of ``nodes`` as parallel
+    ``(row, nbr)`` arrays: ``nbr[k]`` neighbours ``nodes[row[k]]``, rows
+    in order and neighbours ascending within a row."""
+    csr = network.csr
+    nbr = csr.gather(nodes)
+    row = np.repeat(np.arange(nodes.size), csr.indptr[nodes + 1] - csr.indptr[nodes])
+    sensing = state.can_sense[nbr]
+    return row[sensing], nbr[sensing]
+
+
+def straddling(
+    state: NodeState,
+    candidates: np.ndarray,
+    level_idx: np.ndarray,
+    query: ContourQuery,
+    row: np.ndarray,
+    nbr: np.ndarray,
+) -> np.ndarray:
+    """Definition 3.1's condition 2: a mask of the ``candidates`` with a
+    neighbour (``row``/``nbr`` from :func:`sensing_neighbours`) on the
+    other side of their matched isolevel."""
+    lv = np.asarray(query.isolevels, dtype=np.float64)[level_idx][row]
+    vp, vq = state.value[candidates[row]], state.value[nbr]
+    crosses = ((vp < lv) & (lv < vq)) | ((vq < lv) & (lv < vp))
+    appointed = np.zeros(candidates.size, dtype=bool)
+    appointed[row[crosses]] = True
+    return appointed
 
 
 def detect_isoline_nodes_straddle(
@@ -154,15 +183,20 @@ def detect_isoline_nodes_straddle(
 
     # Phase 1: one value broadcast per sensing, routed node -- afterwards
     # every node knows its neighbours' readings.
-    _charge_broadcasts(network, state, participants, BYTES_PER_PARAM, costs)
+    charge_broadcasts(network, state, participants, BYTES_PER_PARAM, costs)
 
-    # Phase 2: local straddle decisions.
-    can_sense = state.can_sense.tolist()
+    # Phase 2: local straddle decisions, each over the participant's
+    # sensing neighbours in ascending id.
+    row, nbr = sensing_neighbours(network, state, participants)
+    row_ends = np.cumsum(np.bincount(row, minlength=participants.size)).tolist()
+    pairs = list(zip(nbr.tolist(), state.value[nbr].tolist()))
     values = state.value.tolist()
     ops: List[int] = []
-    for i in participants.tolist():
+    start = 0
+    for i, end in zip(participants.tolist(), row_ends):
         vp = values[i]
-        nbr_values = [(j, values[j]) for j in network.neighbor_lists[i] if can_sense[j]]
+        nbr_values = pairs[start:end]
+        start = end
         best_level = None
         best_gap = None
         ops.append(OPS_PER_STRADDLE_CHECK * max(1, len(nbr_values)) * len(levels))
@@ -197,7 +231,7 @@ def detect_isoline_nodes_straddle(
     return result
 
 
-def _charge_broadcasts(
+def charge_broadcasts(
     network: SensorNetwork,
     state: NodeState,
     senders: np.ndarray,
@@ -229,7 +263,7 @@ def _probe(
     ``(app_position, value)`` in ascending responder id, keyed in
     ``probers`` order.
     """
-    _charge_broadcasts(network, state, probers, LOCAL_QUERY_BYTES, costs)
+    charge_broadcasts(network, state, probers, LOCAL_QUERY_BYTES, costs)
     owner, responder, hops = network.csr.k_hop_pairs(probers, k_hop, state.alive)
     sensing = state.can_sense[responder]
     owner, responder, hops = owner[sensing], responder[sensing], hops[sensing]
@@ -240,8 +274,12 @@ def _probe(
     reply = LOCAL_REPLY_BYTES * np.where(hops == 1, 1, k_hop)
     costs.charge_tx_batch(responder, reply)
     costs.charge_rx_batch(owner, reply)
-    nodes = network.nodes
-    replies = [(nodes[j].app_position, nodes[j].value) for j in responder.tolist()]
+    replies = list(
+        zip(
+            map(tuple, network.app_positions(responder).tolist()),
+            state.value[responder].tolist(),
+        )
+    )
     lo = np.searchsorted(owner, probers, side="left").tolist()
     hi = np.searchsorted(owner, probers, side="right").tolist()
     return {p: replies[a:b] for p, a, b in zip(probers.tolist(), lo, hi)}

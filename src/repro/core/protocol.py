@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.codec import ReportCodec
 from repro.core.contour_map import ContourMap, build_contour_map
 from repro.core.detection import DetectionResult, detect_isoline_nodes
@@ -213,12 +215,14 @@ class IsoMapProtocol:
         """Gradient estimation and report creation at each isoline node."""
         reports: List[IsolineReport] = []
         items = list(detection.isoline_nodes.items())
+        ids = np.fromiter((node_id for node_id, _ in items), np.int64, len(items))
         # Positions as the application knows them: the localisation
         # estimate when one ran, ground truth otherwise.
         positions = [
-            network.bounds.clamp(network.nodes[node_id].app_position)
-            for node_id, _ in items
+            network.bounds.clamp((x, y))
+            for x, y in network.app_positions(ids).tolist()
         ]
+        values = network.value[ids].tolist()
         data_rows = [
             detection.neighborhood_data.get(node_id, []) for node_id, _ in items
         ]
@@ -227,29 +231,26 @@ class IsoMapProtocol:
             # All plane regressions in one batched solve; bit-identical to
             # calling estimate_gradient per node (see estimate_gradients_batch).
             linear_estimates = estimate_gradients_batch(
-                [
-                    (positions[k], network.nodes[node_id].value, data_rows[k])
-                    for k, (node_id, _) in enumerate(items)
-                ]
+                list(zip(positions, values, data_rows))
             )
         for k, (node_id, isolevel) in enumerate(items):
-            node = network.nodes[node_id]
+            value = values[k]
             position = positions[k]
             data = data_rows[k]
             estimate = None
             if self.regression == "quadratic":
                 from repro.core.gradient_quadratic import estimate_gradient_quadratic
 
-                estimate = estimate_gradient_quadratic(position, node.value, data)
+                estimate = estimate_gradient_quadratic(position, value, data)
                 if estimate is None:
-                    estimate = estimate_gradient(position, node.value, data)
+                    estimate = estimate_gradient(position, value, data)
             else:
                 estimate = linear_estimates[k]
             if estimate is not None:
                 costs.charge_ops(node_id, estimate.ops)
                 direction = estimate.direction
             else:
-                direction = self._fallback(node, position, data)
+                direction = self._fallback(value, position, data)
                 costs.charge_ops(node_id, OPS_FALLBACK)
                 if direction is None:
                     continue  # no usable neighbourhood at all
@@ -264,12 +265,12 @@ class IsoMapProtocol:
         return reports
 
     @staticmethod
-    def _fallback(node, position, data):
+    def _fallback(value, position, data):
         """Two-point descent estimate from the most contrasting neighbour."""
         if not data:
             return None
-        other_pos, other_val = max(data, key=lambda pv: abs(pv[1] - node.value))
-        return fallback_direction(position, node.value, other_pos, other_val)
+        other_pos, other_val = max(data, key=lambda pv: abs(pv[1] - value))
+        return fallback_direction(position, value, other_pos, other_val)
 
     def _collect(
         self,

@@ -356,10 +356,8 @@ def run_sink_placement(
                 corner = (net.bounds.xmin, net.bounds.ymin)
                 from repro.geometry import dist
 
-                sink = min(
-                    range(net.n_nodes),
-                    key=lambda i: dist(net.nodes[i].position, corner),
-                )
+                pts = net.positions_array.tolist()
+                sink = min(range(net.n_nodes), key=lambda i: dist(pts[i], corner))
                 net.sink_index = sink
                 net.rebuild_tree()
             iso = IsoMapProtocol(PAPER_QUERY, PAPER_FILTER).run(net)

@@ -7,7 +7,7 @@ level-based forwarding, a perfect link layer, node failures, and exact
 per-node accounting of transmitted/received bytes and arithmetic
 operations.
 
-- :mod:`repro.network.node` -- the sensor-node record.
+- :mod:`repro.network.node` -- one sensor as a view of the network's arrays.
 - :mod:`repro.network.deployment` -- node placement strategies.
 - :mod:`repro.network.topology` -- disk-radio adjacency via spatial hashing.
 - :mod:`repro.network.routing_tree` -- BFS spanning tree and levels.
@@ -23,7 +23,6 @@ from repro.network.deployment import grid_deployment, uniform_random_deployment
 from repro.network.topology import (
     CsrAdjacency,
     average_degree,
-    build_adjacency,
     build_adjacency_reference,
     build_csr_adjacency,
     is_connected,
@@ -48,7 +47,6 @@ __all__ = [
     "SensorNode",
     "grid_deployment",
     "uniform_random_deployment",
-    "build_adjacency",
     "build_adjacency_reference",
     "build_csr_adjacency",
     "CsrAdjacency",

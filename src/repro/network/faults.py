@@ -250,7 +250,7 @@ class FaultEngine:
     """Applies a :class:`FaultPlan` to one collection epoch.
 
     Instantiated per protocol run.  Crash/recovery state is internal --
-    the engine never mutates the network's nodes -- and all randomness
+    the engine never writes the network's arrays -- and all randomness
     flows from named streams derived from the plan seed:
 
     - ``schedule``: which nodes crash/recover and at which slots;
@@ -272,7 +272,6 @@ class FaultEngine:
     def __init__(self, plan: FaultPlan, network: SensorNetwork):
         self.plan = plan
         self.network = network
-        self._down: set = set()
         self._crashed: List[int] = []
         self._recovered: List[int] = []
         self._corrupt_rng = random.Random(f"{plan.seed}|corrupt")
@@ -280,10 +279,7 @@ class FaultEngine:
         #: its ARQ ceiling before any frame draw happens.
         self.attempts_per_frame = 1
         self._edges: Dict[Tuple[int, int], _EdgeStreams] = {}
-        # Liveness snapshot for the batched paths.  Node liveness only
-        # changes between epochs (fail_random / revive_all), never while
-        # an engine is walking one, so the snapshot stays truthful.
-        self._net_alive = network.alive_mask()
+        # Mid-epoch crashes, beside the network's own ``alive`` array.
         self._down_mask = np.zeros(network.n_nodes, dtype=bool)
         self._pending = self._build_schedule()
         self._cursor = 0
@@ -297,9 +293,9 @@ class FaultEngine:
 
         The latest schedule is kept on the network object, keyed by the
         plan fields the schedule depends on plus the network's
-        routing-tree version (liveness changes always rebuild the tree),
-        so protocols run back to back under one plan on one deployment
-        build it once.  Only that one entry is kept: a run that draws a
+        routing-tree version and liveness (a direct ``alive`` write
+        rebuilds no tree), so protocols run back to back under one plan
+        on one deployment build it once.  Only that one entry is kept: a run that draws a
         fresh plan every epoch would otherwise grow the network by one
         schedule per epoch.
         """
@@ -309,7 +305,8 @@ class FaultEngine:
             plan.crash_ratio,
             plan.recover_ratio,
             plan.events,
-            getattr(self.network, "_tree_version", 0),
+            self.network._tree_version,
+            np.packbits(self.network.alive).tobytes(),
         )
         last = getattr(self.network, "_last_fault_schedule", None)
         if last is not None and last[0] == key:
@@ -323,7 +320,7 @@ class FaultEngine:
         tree = self.network.tree
         depth = max(1, tree.depth)
         # Ascending ids: ``rng.sample`` reads the list in this order.
-        routed = np.flatnonzero(self._net_alive & (tree.level_array >= 0))
+        routed = np.flatnonzero(self.network.alive & (tree.level >= 0))
         candidates = routed[routed != self.network.sink_index].tolist()
         k = min(
             int(self.plan.crash_ratio * len(candidates) + 0.5), len(candidates)
@@ -357,14 +354,13 @@ class FaultEngine:
             e = self._pending[self._cursor]
             if e.slot < level:
                 break
+            down = bool(self._down_mask[e.node])
             if e.kind == CRASH:
-                if e.node not in self._down:
-                    self._down.add(e.node)
+                if not down:
                     self._down_mask[e.node] = True
                     self._crashed.append(e.node)
             else:
-                if e.node in self._down:
-                    self._down.discard(e.node)
+                if down:
                     self._down_mask[e.node] = False
                     self._recovered.append(e.node)
             self._cursor += 1
@@ -379,11 +375,11 @@ class FaultEngine:
 
     def alive(self, node: int) -> bool:
         """Engine-view liveness: network liveness minus mid-epoch crashes."""
-        return self.network.nodes[node].alive and node not in self._down
+        return bool(self.network.alive[node]) and not self._down_mask[node]
 
     def alive_array(self) -> np.ndarray:
         """:meth:`alive` for every node at once (batched-walk view)."""
-        return self._net_alive & ~self._down_mask
+        return self.network.alive & ~self._down_mask
 
     @property
     def crashed_nodes(self) -> Tuple[int, ...]:

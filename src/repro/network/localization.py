@@ -14,8 +14,9 @@ those algorithms share:
    range measurements to their neighbours' current estimates, anchors
    held fixed.  A damped Gauss-Newton step per sweep.
 
-The result is written into ``SensorNode.estimated_position``, which the
-Iso-Map stack then uses transparently (``SensorNode.app_position``).
+The result is written into ``SensorNetwork.estimated_positions``, which
+the Iso-Map stack then uses transparently (``SensorNode.app_position``,
+``SensorNetwork.app_positions``).
 Nodes that cannot see three anchors stay unlocalised and keep GPS-truth
 behaviour (in practice such nodes would not report).
 """
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.geometry import Vec, dist
 from repro.network.network import SensorNetwork
@@ -82,13 +84,14 @@ def localize(
             error (0.05 = 5% of the true distance, typical of RSSI/TDoA).
         refine_iters: Gauss-Newton sweeps after DV-hop.
         rng: randomness source (anchor choice and ranging noise).
-        apply: write estimates into ``SensorNode.estimated_position``.
+        apply: write estimates into ``network.estimated_positions``.
 
     Raises:
         ValueError: for a fraction that yields fewer than 3 anchors.
     """
     r = rng if rng is not None else random.Random(0)
-    alive = [n.node_id for n in network.nodes if n.alive]
+    alive = np.flatnonzero(network.alive).tolist()
+    truth = [tuple(p) for p in network.positions_array.tolist()]
     n_anchors = round(anchor_fraction * len(alive))
     if n_anchors < 3:
         raise ValueError("localization needs at least 3 anchors")
@@ -96,18 +99,16 @@ def localize(
     anchor_set = set(anchors)
 
     # ---- stage 1: DV-hop ------------------------------------------------
-    hops = {a: _hop_counts(network, a) for a in anchors}
-    avg_hop = _average_hop_length(network, anchors, hops)
+    hops = _hop_counts(network, anchors)
+    avg_hop = _average_hop_length(network, anchors, hops, truth)
 
-    estimates: Dict[int, Vec] = {a: network.nodes[a].position for a in anchors}
+    estimates: Dict[int, Vec] = {a: truth[a] for a in anchors}
     unlocalized: List[int] = []
     for i in alive:
         if i in anchor_set:
             continue
         observations = [
-            (network.nodes[a].position, hops[a][i] * avg_hop)
-            for a in anchors
-            if hops[a][i] is not None
+            (truth[a], hops[a][i] * avg_hop) for a in anchors if hops[a][i] >= 0
         ]
         if len(observations) < 3:
             unlocalized.append(i)
@@ -137,16 +138,16 @@ def localize(
             estimates[i] = network.bounds.clamp(step)
 
     # ---- package ---------------------------------------------------------
+    located = [i for i in estimates if i not in anchor_set]
     out: List[Optional[Vec]] = [None] * network.n_nodes
     errors: List[float] = []
-    for i, pos in estimates.items():
-        if i in anchor_set:
-            continue
-        out[i] = pos
-        errors.append(dist(pos, network.nodes[i].position))
+    for i in located:
+        out[i] = estimates[i]
+        errors.append(dist(estimates[i], truth[i]))
     if apply:
-        for i, pos in enumerate(out):
-            network.nodes[i].estimated_position = pos
+        clear_localization(network)
+        if located:
+            network.estimated_positions[located] = [estimates[i] for i in located]
     return LocalizationResult(
         estimated=out, anchor_ids=anchors, errors=errors, unlocalized=unlocalized
     )
@@ -154,8 +155,7 @@ def localize(
 
 def clear_localization(network: SensorNetwork) -> None:
     """Remove estimates; nodes fall back to ground-truth positions."""
-    for node in network.nodes:
-        node.estimated_position = None
+    network.estimated_positions[:] = np.nan
 
 
 # ----------------------------------------------------------------------
@@ -163,24 +163,21 @@ def clear_localization(network: SensorNetwork) -> None:
 # ----------------------------------------------------------------------
 
 
-def _hop_counts(network: SensorNetwork, source: int) -> List[Optional[int]]:
-    """BFS hop counts from ``source`` over the alive graph."""
-    hops: List[Optional[int]] = [None] * network.n_nodes
-    hops[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in network.adjacency[u]:
-            if network.nodes[v].alive and hops[v] is None:
-                hops[v] = hops[u] + 1  # type: ignore[operator]
-                queue.append(v)
-    return hops
+def _hop_counts(network: SensorNetwork, anchors: List[int]) -> Dict[int, List[int]]:
+    """Each (ascending) anchor's hop count to every node over the alive
+    graph, -1 where unreachable: one multi-source BFS."""
+    owner, node, hops = network.csr.k_hop_pairs(anchors, network.n_nodes, network.alive)
+    table = np.full((len(anchors), network.n_nodes), -1, dtype=np.int64)
+    table[np.searchsorted(anchors, owner), node] = hops
+    table[np.arange(len(anchors)), anchors] = 0
+    return dict(zip(anchors, table.tolist()))
 
 
 def _average_hop_length(
     network: SensorNetwork,
     anchors: Sequence[int],
-    hops: Dict[int, List[Optional[int]]],
+    hops: Dict[int, List[int]],
+    truth: Sequence[Vec],
 ) -> float:
     """DV-hop calibration: known anchor distances over their hop counts."""
     total_dist = 0.0
@@ -188,10 +185,8 @@ def _average_hop_length(
     for idx, a in enumerate(anchors):
         for b in anchors[idx + 1 :]:
             h = hops[a][b]
-            if h:
-                total_dist += dist(
-                    network.nodes[a].position, network.nodes[b].position
-                )
+            if h > 0:
+                total_dist += dist(truth[a], truth[b])
                 total_hops += h
     if total_hops == 0:
         # Degenerate (all anchors mutually unreachable); fall back to the
@@ -229,14 +224,22 @@ def _measure_ranges(
     noise: float,
     rng: random.Random,
 ) -> Dict[int, List]:
-    """Noisy 1-hop range measurements between localisable alive nodes."""
+    """Noisy 1-hop range measurements between localisable alive nodes.
+
+    Each node's neighbours are measured in ascending id (its CSR row),
+    one noise draw each, so the draws follow node ids rather than any
+    container's layout.
+    """
+    pos = network.positions_array
     out: Dict[int, List] = {}
     for i in estimates:
         measured = []
-        for j in network.adjacency[i]:
+        here = pos[i].tolist()
+        row = network.csr.neighbors(i)
+        for j, there in zip(row.tolist(), pos[row].tolist()):
             if j not in estimates:
                 continue
-            true = dist(network.nodes[i].position, network.nodes[j].position)
+            true = dist(here, there)
             measured.append((j, max(1e-6, true * (1.0 + rng.gauss(0.0, noise)))))
         out[i] = measured
     return out

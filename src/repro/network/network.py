@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro import profiling
 from repro.field.base import ScalarField
 from repro.geometry import BoundingBox, Vec, dist
 from repro.network.deployment import grid_deployment, uniform_random_deployment
-from repro.network.node import SensorNode
+from repro.network.node import NodeViews
 from repro.network.routing_tree import RoutingTree, build_routing_tree
 from repro.network.topology import (
     CsrAdjacency,
@@ -36,13 +36,13 @@ DEFAULT_RADIO_RANGE = 1.5
 class TopologySkeleton:
     """The deployment-determined, field-independent part of a network.
 
-    Positions, CSR adjacency, neighbour lists, sink choice and the
-    healthy routing tree depend only on ``(positions, radio_range)`` --
-    not on the sensed field, the noise draw, or any failure state -- so
-    repeated runs over the same deployment (sweep repetitions, epoch
-    sequences, protocol comparisons) can share one skeleton instead of
-    re-hashing the disk graph and re-running BFS every time.  Capture
-    with :meth:`SensorNetwork.skeleton` and pass back via ``prebuilt``.
+    Positions, CSR adjacency, sink choice and the healthy routing tree
+    depend only on ``(positions, radio_range)`` -- not on the sensed
+    field, the noise draw, or any failure state -- so repeated runs over
+    the same deployment (sweep repetitions, epoch sequences, protocol
+    comparisons) can share one skeleton instead of re-hashing the disk
+    graph and re-running BFS every time.  Capture with
+    :meth:`SensorNetwork.skeleton` and pass back via ``prebuilt``.
 
     Everything here is treated as immutable by :class:`SensorNetwork`
     (rebuilds after crash-mode failures replace ``tree`` on the network,
@@ -51,7 +51,6 @@ class TopologySkeleton:
 
     positions_array: np.ndarray
     csr: "CsrAdjacency"
-    neighbor_lists: List[List[int]]
     sink_index: int
     tree: "RoutingTree"
 
@@ -60,11 +59,13 @@ class TopologySkeleton:
 class NodeState:
     """Per-node state as arrays, read once per batched phase.
 
+    Read-only views of the network's own arrays, not copies.
+
     Attributes:
         alive: ``node.alive``.
         can_sense: ``node.can_sense`` (alive and sensing_ok).
         routed: the node has a level in the network's routing tree.
-        value: ``node.value`` as float64 (the identical doubles).
+        value: ``node.value`` as float64.
     """
 
     alive: np.ndarray
@@ -73,8 +74,21 @@ class NodeState:
     value: np.ndarray
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 class SensorNetwork:
     """A deployed, connected, routed sensor network over a scalar field.
+
+    Per-node state is held once, as arrays: ``positions_array`` (n, 2),
+    ``value`` (float64), ``alive`` and ``sensing_ok`` (bool), and
+    ``estimated_positions`` (n, 2; NaN where no localisation estimate
+    exists).  Levels and parents live in :attr:`tree`, the adjacency in
+    :attr:`csr`.  ``nodes[i]`` is a :class:`~repro.network.node.SensorNode`
+    view that reads and writes these arrays.
 
     Args:
         field: the sensed phenomenon.
@@ -107,41 +121,46 @@ class SensorNetwork:
     ):
         if not positions:
             raise ValueError("a network needs at least one node")
+        if prebuilt is not None and len(prebuilt.positions_array) != len(positions):
+            raise ValueError("prebuilt skeleton is for a different size")
         self.field = field
         self.radio_range = radio_range
         self._rng = rng if rng is not None else random.Random(0)
-        self.nodes: List[SensorNode] = []
-        for i, p in enumerate(positions):
-            if not field.bounds.contains(p, tol=1e-9):
-                raise ValueError(f"node {i} deployed outside the field at {p}")
-            v = field.value(p[0], p[1])
-            if sensing_noise > 0:
-                v += self._rng.gauss(0.0, sensing_noise)
-            self.nodes.append(SensorNode(node_id=i, position=p, value=v))
-        self._adjacency_sets: Optional[List[Set[int]]] = None
+        n = len(positions)
+        self.positions_array: np.ndarray = (
+            prebuilt.positions_array
+            if prebuilt is not None
+            else np.asarray(positions, dtype=float).reshape(n, 2)
+        )
+        b, tol = field.bounds, 1e-9
+        x, y = self.positions_array.T
+        inside = (b.xmin - tol <= x) & (x <= b.xmax + tol)
+        inside &= (b.ymin - tol <= y) & (y <= b.ymax + tol)
+        if not inside.all():
+            i = int(np.argmin(inside))  # the first node outside
+            raise ValueError(f"node {i} deployed outside the field at {positions[i]}")
+        self.value: np.ndarray = np.array(
+            self._sample(positions, sensing_noise), dtype=np.float64
+        )
+        self.alive: np.ndarray = np.ones(n, dtype=bool)
+        self.sensing_ok: np.ndarray = np.ones(n, dtype=bool)
+        self.estimated_positions: np.ndarray = np.full((n, 2), np.nan)
+        self.nodes = NodeViews(self)
         self._tree_version = 0
         if prebuilt is not None:
-            if len(prebuilt.positions_array) != len(positions):
-                raise ValueError("prebuilt skeleton is for a different size")
-            self.positions_array = prebuilt.positions_array
             self.csr = prebuilt.csr
-            self.neighbor_lists = prebuilt.neighbor_lists
             self.sink_index = (
                 sink_index if sink_index is not None else prebuilt.sink_index
             )
             self.tree = prebuilt.tree
-            self._adopt_tree(prebuilt.tree)
             return
-        # CSR is the primary adjacency: the edge set never changes
-        # (failures only flip per-node flags), so it is built once with the
-        # batched kernel; per-node neighbour lists serve the traversal
-        # loops, and legacy set views are materialised lazily on demand.
-        self.positions_array: np.ndarray = np.asarray(positions, dtype=float)
+        # CSR is the only adjacency: the edge set never changes (failures
+        # only flip per-node flags), so it is built once with the batched
+        # kernel and every traversal reads its rows.
         with profiling.stage("topology.build"):
             self.csr: CsrAdjacency = build_csr_adjacency(
                 self.positions_array, radio_range
             )
-        self.neighbor_lists: List[List[int]] = self.csr.to_lists()
         if sink_index is None:
             centre = field.bounds.center
             sink_index = min(
@@ -149,6 +168,15 @@ class SensorNetwork:
             )
         self.sink_index = sink_index
         self.tree: RoutingTree = self._build_tree()
+
+    def _sample(self, positions: Sequence[Vec], sensing_noise: float) -> List[float]:
+        """One field reading per position, in node order (plus a noise
+        draw each when ``sensing_noise`` > 0)."""
+        value = self.field.value
+        if sensing_noise <= 0:
+            return [value(p[0], p[1]) for p in positions]
+        gauss = self._rng.gauss
+        return [value(p[0], p[1]) + gauss(0.0, sensing_noise) for p in positions]
 
     def skeleton(self) -> TopologySkeleton:
         """Capture the reusable topology (see :class:`TopologySkeleton`).
@@ -159,7 +187,6 @@ class SensorNetwork:
         return TopologySkeleton(
             positions_array=self.positions_array,
             csr=self.csr,
-            neighbor_lists=self.neighbor_lists,
             sink_index=self.sink_index,
             tree=self.tree,
         )
@@ -222,7 +249,7 @@ class SensorNetwork:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.value)
 
     @property
     def bounds(self) -> BoundingBox:
@@ -238,89 +265,48 @@ class SensorNetwork:
         """Routing-tree depth: the paper's "network diameter" in hops."""
         return self.tree.depth
 
-    def alive_mask(self) -> np.ndarray:
-        """Per-node ``alive`` flags as a bool array (one pass, per call)."""
-        return np.fromiter(
-            (node.alive for node in self.nodes), dtype=bool, count=len(self.nodes)
-        )
-
     def node_state(self) -> NodeState:
-        """Snapshot the per-node state the batched phases read.
+        """The per-node state the batched phases read.
 
-        Three passes over the nodes (``alive``, ``sensing_ok``, ``value``);
-        ``routed`` comes from the routing tree's cached levels.  The
-        snapshot is taken per call, never cached: ``alive`` and
-        ``sensing_ok`` are plain node attributes that callers may write
-        directly.
+        The stored arrays themselves (read-only views), plus ``can_sense``
+        (alive and sensing_ok) and ``routed`` (a level in the current
+        tree), each one array operation.  A write through
+        ``nodes[i]`` is a write to these arrays, so nothing can go stale.
         """
-        nodes = self.nodes
-        n = len(nodes)
-        alive = self.alive_mask()
-        sensing_ok = np.fromiter((nd.sensing_ok for nd in nodes), dtype=bool, count=n)
         return NodeState(
-            alive=alive,
-            can_sense=alive & sensing_ok,
-            routed=self.tree.level_array >= 0,
-            value=np.fromiter((nd.value for nd in nodes), dtype=np.float64, count=n),
+            alive=_read_only(self.alive),
+            can_sense=self.alive & self.sensing_ok,
+            routed=self.tree.level >= 0,
+            value=_read_only(self.value),
         )
+
+    def app_positions(self, ids: np.ndarray) -> np.ndarray:
+        """Nodes ``ids``' positions as the application knows them, as a
+        ``(len(ids), 2)`` array: the localisation estimate where one
+        exists, ground truth elsewhere (:attr:`SensorNode.app_position`)."""
+        est = self.estimated_positions[ids]
+        return np.where(np.isnan(est[:, :1]), self.positions_array[ids], est)
 
     def alive_count(self) -> int:
-        return sum(1 for node in self.nodes if node.alive)
-
-    @property
-    def adjacency(self) -> List[Set[int]]:
-        """Per-node neighbour sets (legacy view, materialised on demand)."""
-        if self._adjacency_sets is None:
-            self._adjacency_sets = self.csr.to_sets()
-        return self._adjacency_sets
-
-    def alive_neighbors(self, i: int) -> List[int]:
-        """Alive disk-radio neighbours of node ``i``."""
-        return [j for j in self.neighbor_lists[i] if self.nodes[j].alive]
-
-    def sensing_neighbors(self, i: int) -> List[int]:
-        """Neighbours of ``i`` that can answer value queries."""
-        return [j for j in self.neighbor_lists[i] if self.nodes[j].can_sense]
-
-    def k_hop_sensing_neighbors(self, i: int, k: int) -> List[int]:
-        """Sensing-capable nodes within k (alive-routed) hops of node ``i``.
-
-        The multi-hop paths go through alive nodes (forwarding works even
-        past sensing-failed ones); the returned set keeps only nodes that
-        can actually answer a value query.
-        """
-        reachable = self.csr.k_hop_neighbors(i, k, alive=self.alive_mask())
-        return [j for j in reachable.tolist() if self.nodes[j].can_sense]
+        return int(np.count_nonzero(self.alive))
 
     def average_degree(self) -> float:
         """Mean alive-neighbour count over alive nodes."""
-        return average_degree(self.csr, self.alive_mask())
+        return average_degree(self.csr, self.alive)
 
     def is_connected(self) -> bool:
-        return is_connected(self.csr, self.alive_mask())
+        return is_connected(self.csr, self.alive)
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
     def _build_tree(self) -> RoutingTree:
-        positions = [node.position for node in self.nodes]
-        with profiling.stage("topology.tree"):
-            tree = build_routing_tree(
-                positions, self.csr, self.sink_index, self.alive_mask()
-            )
-        self._adopt_tree(tree)
-        return tree
-
-    def _adopt_tree(self, tree: RoutingTree) -> None:
-        """Copy a tree's routing state onto the nodes."""
         self._tree_version += 1
-        for node in self.nodes:
-            node.reset_routing()
-        for i, node in enumerate(self.nodes):
-            node.level = tree.level[i]
-            node.parent = tree.parent[i]
-            node.children = list(tree.children[i])
+        with profiling.stage("topology.tree"):
+            return build_routing_tree(
+                self.positions_array, self.csr, self.sink_index, self.alive
+            )
 
     def rebuild_tree(self) -> None:
         """Recompute routing after topology changes (e.g. failures)."""
@@ -366,14 +352,13 @@ class SensorNetwork:
         if mode not in ("sensing", "crash"):
             raise ValueError(f"unknown failure mode {mode!r}")
         r = rng if rng is not None else self._rng
-        candidates = [i for i in range(self.n_nodes) if i != self.sink_index]
+        # Ascending ids: ``rng.sample`` reads the list in this order.
+        candidates = [*range(self.sink_index), *range(self.sink_index + 1, self.n_nodes)]
         k = min(int(ratio * len(candidates) + 0.5), len(candidates))
         failed = r.sample(candidates, k)
-        for i in failed:
-            if mode == "crash":
-                self.nodes[i].alive = False
-            self.nodes[i].sensing_ok = False
+        self.sensing_ok[failed] = False
         if mode == "crash":
+            self.alive[failed] = False
             self.rebuild_tree()
         return failed
 
@@ -391,15 +376,10 @@ class SensorNetwork:
         """
         if field is not None:
             self.field = field
-        for node in self.nodes:
-            v = self.field.value(node.position[0], node.position[1])
-            if sensing_noise > 0:
-                v += self._rng.gauss(0.0, sensing_noise)
-            node.value = v
+        self.value[:] = self._sample(self.positions_array.tolist(), sensing_noise)
 
     def revive_all(self) -> None:
         """Undo failure injection (used between experiment repetitions)."""
-        for node in self.nodes:
-            node.alive = True
-            node.sensing_ok = True
+        self.alive[:] = True
+        self.sensing_ok[:] = True
         self.rebuild_tree()

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,45 +22,54 @@ from repro.geometry import Vec, dist
 from repro.network.topology import CsrAdjacency
 
 
-@dataclass
+@dataclass(eq=False)
 class RoutingTree:
     """The routing structure used by every protocol in the reproduction.
 
+    A tree is never mutated after it is built (a rebuild makes a new
+    tree), so its arrays are read-only and its derived views are
+    computed once.
+
     Attributes:
         sink: node index of the root.
-        level: ``level[i]`` = hop count of node i (``None`` if unreachable
-            or dead).
-        parent: ``parent[i]`` = next hop toward the sink (``None`` for the
-            sink and unreachable nodes).
-        children: inverse of ``parent``.
+        level: int64, ``level[i]`` = hop count of node i (-1 if
+            unreachable or dead).
+        parent: int64, ``parent[i]`` = next hop toward the sink (-1 for
+            the sink and unreachable nodes).
     """
 
     sink: int
-    level: List[Optional[int]]
-    parent: List[Optional[int]]
-    children: List[List[int]]
+    level: np.ndarray
+    parent: np.ndarray
 
-    # A tree is never mutated after it is built (a rebuild makes a new
-    # tree), so its array views and depth are computed once.
-
-    @cached_property
-    def level_array(self) -> np.ndarray:
-        """``level`` as int64, -1 where there is none."""
-        return _optional_ints(self.level)
-
-    @cached_property
-    def parent_array(self) -> np.ndarray:
-        """``parent`` as int64, -1 where there is none."""
-        return _optional_ints(self.parent)
+    def __post_init__(self) -> None:
+        self.level.flags.writeable = False
+        self.parent.flags.writeable = False
 
     @cached_property
     def depth(self) -> int:
         """Maximum level over reachable nodes (the network diameter proxy
         used by Figs. 14-16: "network diameter varies from 10 to 50 hops")."""
-        return int(self.level_array.max(initial=0))
+        return int(self.level.max(initial=0))
+
+    @cached_property
+    def _by_level(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Node ids stably sorted by level, and each level's start offset
+        (``starts[l]`` for ``l`` in ``0..depth + 1``); unreachable nodes
+        (level -1) come first, before ``starts[0]``."""
+        order = np.argsort(self.level, kind="stable")
+        order.flags.writeable = False
+        starts = np.searchsorted(self.level[order], np.arange(self.depth + 2))
+        return order, starts
+
+    def members_at(self, lvl: int) -> np.ndarray:
+        """The nodes at level ``lvl`` (``0 <= lvl <= depth``), in ascending
+        id (a read-only view)."""
+        order, starts = self._by_level
+        return order[starts[lvl] : starts[lvl + 1]]
 
     def reachable_count(self) -> int:
-        return sum(1 for l in self.level if l is not None)
+        return int(np.count_nonzero(self.level >= 0))
 
     def path_to_sink(self, node: int) -> List[int]:
         """Node indices from ``node`` (inclusive) to the sink (inclusive).
@@ -68,91 +77,64 @@ class RoutingTree:
         Raises:
             ValueError: when the node has no route.
         """
-        if self.level[node] is None:
+        if self.level[node] < 0:
             raise ValueError(f"node {node} is unreachable")
+        parent = self.parent
         path = [node]
         cur = node
         while cur != self.sink:
-            nxt = self.parent[cur]
-            assert nxt is not None, "reachable non-sink node must have a parent"
-            path.append(nxt)
-            cur = nxt
+            cur = int(parent[cur])
+            assert cur >= 0, "reachable non-sink node must have a parent"
+            path.append(cur)
         return path
 
     def hops_to_sink(self, node: int) -> int:
-        lvl = self.level[node]
-        if lvl is None:
+        lvl = int(self.level[node])
+        if lvl < 0:
             raise ValueError(f"node {node} is unreachable")
         return lvl
 
     def subtree_order_bottom_up(self) -> List[int]:
         """Reachable nodes ordered so children precede their parents.
 
-        In-network aggregation and filtering walk reports up the tree; this
-        order lets a single pass simulate the per-epoch, level-by-level
+        Deepest level first, ascending id within a level.  In-network
+        aggregation and filtering walk reports up the tree; this order
+        lets a single pass simulate the per-epoch, level-by-level
         forwarding schedule of TAG.
         """
-        order = sorted(
-            (i for i, l in enumerate(self.level) if l is not None),
-            key=lambda i: -(self.level[i] or 0),
-        )
-        return order
-
-
-def _optional_ints(values: Sequence[Optional[int]]) -> np.ndarray:
-    """``values`` as a read-only int64 array, -1 for None (the tree's
-    array views are shared by every reader)."""
-    arr = np.fromiter(
-        (-1 if v is None else v for v in values), dtype=np.int64, count=len(values)
-    )
-    arr.flags.writeable = False
-    return arr
+        return np.concatenate(
+            [self.members_at(l) for l in range(self.depth, -1, -1)]
+        ).tolist()
 
 
 def build_routing_tree(
-    positions: Sequence[Vec],
-    adjacency: Union[CsrAdjacency, Sequence[Iterable[int]]],
+    positions: Union[np.ndarray, Sequence[Vec]],
+    csr: CsrAdjacency,
     sink: int,
     alive: Optional[Sequence[bool]] = None,
 ) -> RoutingTree:
     """Breadth-first spanning tree over the alive communication graph.
 
+    Array-frontier BFS + segmented parent argmin over a CSR graph,
+    equivalent to :func:`build_routing_tree_reference` result-for-result
+    (pinned by a differential test): each BFS ring is discovered with one
+    gather (first occurrence in the concatenated candidate array is
+    exactly the FIFO discovery order), and parents are picked per node by
+    a segmented ``(distance, id)`` argmin using distances computed with
+    the same scalar ``math.hypot`` the reference's ``dist`` uses, so float
+    ties break identically.
+
     Args:
-        positions: node positions (used for deterministic parent choice).
-        adjacency: disk-radio neighbours per node.  A
-            :class:`~repro.network.topology.CsrAdjacency` takes the
-            vectorized frontier-array path; any other per-node iterable
-            (sets, lists) takes the scalar reference.  Both produce the
-            identical tree: BFS levels are hop distances, the parent
-            choice tie-breaks explicitly on ``(distance, id)``, and the
-            frontier path reproduces the FIFO discovery order exactly
-            (pinned by a differential test).
+        positions: node positions, an ``(n, 2)`` array or a sequence of
+            points (used for deterministic parent choice).
+        csr: the disk-radio adjacency.
         sink: root node index (must be alive).
         alive: liveness mask; dead nodes are excluded entirely.
-    """
-    if isinstance(adjacency, CsrAdjacency):
-        return _build_routing_tree_csr(positions, adjacency, sink, alive)
-    return build_routing_tree_reference(positions, adjacency, sink, alive)
-
-
-def _build_routing_tree_csr(
-    positions: Sequence[Vec],
-    csr: CsrAdjacency,
-    sink: int,
-    alive: Optional[Sequence[bool]],
-) -> RoutingTree:
-    """Array-frontier BFS + segmented parent argmin over a CSR graph.
-
-    Equivalent to :func:`build_routing_tree_reference` result-for-result:
-    each BFS ring is discovered with one gather (first occurrence in the
-    concatenated candidate array is exactly the FIFO discovery order),
-    and parents are picked per node by a segmented ``(distance, id)``
-    argmin using distances computed with the same scalar ``math.hypot``
-    the reference's ``dist`` uses, so float ties break identically.
     """
     n = len(positions)
     if not 0 <= sink < n:
         raise ValueError("sink index out of range")
+    pts = np.asarray(positions, dtype=float).reshape(n, 2)
     if alive is None:
         live = np.ones(n, dtype=bool)
     else:
@@ -179,15 +161,15 @@ def _build_routing_tree_csr(
 
     visited = np.concatenate(rings)
     non_sink = visited[1:]
-    children: List[List[int]] = [[] for _ in range(n)]
     parent_arr = np.full(n, -1, dtype=np.int64)
     if non_sink.size:
         # Distance of every node to the sink, via the identical scalar
         # arithmetic the reference path uses (np.hypot may differ in the
-        # last ulp, which would flip distance ties).
-        sx, sy = positions[sink]
+        # last ulp, which would flip distance ties; the subtractions are
+        # exact either way).
+        sx, sy = pts[sink].tolist()
         d = np.fromiter(
-            (math.hypot(p[0] - sx, p[1] - sy) for p in positions),
+            map(math.hypot, (pts[:, 0] - sx).tolist(), (pts[:, 1] - sy).tolist()),
             dtype=np.float64,
             count=n,
         )
@@ -205,18 +187,8 @@ def _build_routing_tree_csr(
         assert len(firsts) == len(
             non_sink
         ), "BFS-levelled node must have an upstream neighbour"
-        best = nb[firsts]
-        parent_arr[non_sink] = best
-        for u, p in zip(non_sink.tolist(), best.tolist()):
-            children[p].append(u)
-
-    level: List[Optional[int]] = [
-        int(l) if l >= 0 else None for l in level_arr.tolist()
-    ]
-    parent: List[Optional[int]] = [
-        int(p) if p >= 0 else None for p in parent_arr.tolist()
-    ]
-    return RoutingTree(sink=sink, level=level, parent=parent, children=children)
+        parent_arr[non_sink] = nb[firsts]
+    return RoutingTree(sink=sink, level=level_arr, parent=parent_arr)
 
 
 def build_routing_tree_reference(
@@ -225,7 +197,11 @@ def build_routing_tree_reference(
     sink: int,
     alive: Optional[Sequence[bool]] = None,
 ) -> RoutingTree:
-    """The scalar FIFO-BFS builder (differential-test reference)."""
+    """The scalar FIFO-BFS builder (differential-test reference).
+
+    ``adjacency`` holds each node's neighbours as a Python iterable; the
+    callers build those lists from the CSR themselves.
+    """
     n = len(positions)
     live = [True] * n if alive is None else list(alive)
     if not 0 <= sink < n:
@@ -235,7 +211,6 @@ def build_routing_tree_reference(
 
     level: List[Optional[int]] = [None] * n
     parent: List[Optional[int]] = [None] * n
-    children: List[List[int]] = [[] for _ in range(n)]
     sink_pos = positions[sink]
 
     level[sink] = 0
@@ -261,15 +236,15 @@ def build_routing_tree_reference(
         assert candidates, "BFS-levelled node must have an upstream neighbour"
         best = min(candidates, key=lambda v: (dist(positions[v], sink_pos), v))
         parent[u] = best
-        children[best].append(u)
 
-    return RoutingTree(sink=sink, level=level, parent=parent, children=children)
+    return RoutingTree(
+        sink=sink,
+        level=np.array([-1 if l is None else l for l in level], dtype=np.int64),
+        parent=np.array([-1 if p is None else p for p in parent], dtype=np.int64),
+    )
 
 
 def level_histogram(tree: RoutingTree) -> Dict[int, int]:
     """Number of reachable nodes per level (diagnostics and tests)."""
-    hist: Dict[int, int] = {}
-    for l in tree.level:
-        if l is not None:
-            hist[l] = hist.get(l, 0) + 1
-    return hist
+    counts = np.bincount(tree.level[tree.level >= 0])
+    return {l: c for l, c in enumerate(counts.tolist()) if c}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.energy.mica2 import Mica2Model
-from repro.geometry import dist
+from repro.geometry import Vec, dist
 from repro.network.accounting import CostAccountant
 from repro.network.network import SensorNetwork
 
@@ -67,21 +67,17 @@ def epoch_latency(
     seconds_per_byte = 8.0 / r.data_rate_bps
     interference_range = interference_factor * network.radio_range
 
-    # Group transmitting nodes by tree level.
-    by_level: Dict[int, List[int]] = {}
-    for node in network.nodes:
-        if node.level is None or node.level == 0:
+    tree = network.tree
+    slots = [0.0] * (tree.depth + 1)
+    for level in range(1, tree.depth + 1):
+        # The level's transmitting nodes, in ascending id.
+        members = tree.members_at(level)
+        members = members[costs.tx_bytes[members] > 0]
+        if members.size == 0:
             continue
-        if costs.tx_bytes[node.node_id] > 0:
-            by_level.setdefault(node.level, []).append(node.node_id)
-
-    depth = network.tree.depth
-    slots = [0.0] * (depth + 1)
-    for level, members in by_level.items():
-        airtimes = {
-            i: float(costs.tx_bytes[i]) * seconds_per_byte for i in members
-        }
-        slots[level] = _slot_duration(network, members, airtimes, interference_range)
+        airtimes = (costs.tx_bytes[members] * seconds_per_byte).tolist()
+        points = network.positions_array[members].tolist()
+        slots[level] = _slot_duration(airtimes, points, interference_range)
 
     total = sum(slots)
     busiest = max(range(len(slots)), key=lambda l: slots[l]) if slots else 0
@@ -91,9 +87,8 @@ def epoch_latency(
 
 
 def _slot_duration(
-    network: SensorNetwork,
-    members: List[int],
-    airtimes: Dict[int, float],
+    airtimes: List[float],
+    points: List[Vec],
     interference_range: float,
 ) -> float:
     """Length of one level's slot under spatial-reuse TDMA.
@@ -106,13 +101,13 @@ def _slot_duration(
     maximum.  This upper-bounds the optimum within the usual greedy
     factor while staying O(m^2) for the (small) per-level member counts.
     """
-    ordered = sorted(members, key=lambda i: -airtimes[i])
+    ordered = sorted(range(len(airtimes)), key=lambda i: -airtimes[i])
     finish: Dict[int, float] = {}
     worst = 0.0
     for i in ordered:
         start = 0.0
         for j in finish:
-            if dist(network.nodes[i].position, network.nodes[j].position) <= interference_range:
+            if dist(points[i], points[j]) <= interference_range:
                 start = max(start, finish[j])
         finish[i] = start + airtimes[i]
         worst = max(worst, finish[i])

@@ -17,35 +17,12 @@ implementations; differential tests assert the two agree exactly
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.geometry import Vec
-
-
-def build_adjacency(
-    positions: Sequence[Vec], radio_range: float
-) -> List[Set[int]]:
-    """Neighbour sets under the unit-disk model (vectorized).
-
-    Args:
-        positions: node positions.
-        radio_range: maximum communication distance (the paper uses 1.5
-            normalised units, i.e. 30 m for one node per 400 m^2).
-
-    Returns:
-        ``adj[i]`` = set of node indices within ``radio_range`` of node i
-        (excluding i itself).
-
-    The distance test is the same ``dx*dx + dy*dy <= r*r`` the reference
-    implementation evaluates, in the same IEEE-754 arithmetic, so the
-    result is identical set-for-set -- only the candidate enumeration is
-    batched.
-    """
-    return build_csr_adjacency(positions, radio_range).to_sets()
 
 
 def build_csr_adjacency(
@@ -55,9 +32,12 @@ def build_csr_adjacency(
 
     This is what :class:`repro.network.SensorNetwork` consumes: the edge
     list is produced by the bucketed batch pass of :func:`_disk_edges`
-    and laid out as CSR without ever materialising per-node Python sets
-    (which dominate the cost of :func:`build_adjacency`).  Accepts a
-    positions list or an ``(n, 2)`` array; pass the array on hot paths.
+    and laid out as CSR without ever materialising per-node Python
+    collections.  The distance test is the same ``dx*dx + dy*dy <= r*r``
+    :func:`build_adjacency_reference` evaluates, in the same IEEE-754
+    arithmetic, so the edge set is identical -- only the candidate
+    enumeration is batched.  Accepts a positions list or an ``(n, 2)``
+    array; pass the array on hot paths.
     """
     ii, jj = _disk_edges(positions, radio_range)
     return CsrAdjacency.from_edges(len(positions), ii, jj)
@@ -190,7 +170,11 @@ def build_adjacency_reference(
     positions: Sequence[Vec], radio_range: float
 ) -> List[Set[int]]:
     """The original per-node spatial-hash loop, kept as the differential
-    and performance baseline for :func:`build_adjacency`."""
+    and performance baseline for :func:`build_csr_adjacency`.
+
+    Returns ``adj[i]`` = the set of node indices within ``radio_range``
+    of node i (excluding i itself).
+    """
     if radio_range <= 0:
         raise ValueError("radio range must be positive")
     n = len(positions)
@@ -262,19 +246,8 @@ class CsrAdjacency:
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr=indptr, indices=indices)
 
-    def to_sets(self) -> List[Set[int]]:
-        """Materialise per-node neighbour sets (the legacy adjacency view)."""
-        idx = self.indices.tolist()
-        ptr = self.indptr.tolist()
-        return [set(idx[ptr[v] : ptr[v + 1]]) for v in range(self.n_nodes)]
-
-    def to_lists(self) -> List[List[int]]:
-        """Per-node neighbour lists (ascending), cheaper than sets to build."""
-        idx = self.indices.tolist()
-        ptr = self.indptr.tolist()
-        return [idx[ptr[v] : ptr[v + 1]] for v in range(self.n_nodes)]
-
     def neighbors(self, i: int) -> np.ndarray:
+        """Node ``i``'s neighbours, ascending (a view into ``indices``)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
@@ -291,18 +264,23 @@ class CsrAdjacency:
         )
         return self.indices[np.repeat(starts, counts) + within]
 
-    def flood(self, start: int, live: np.ndarray) -> np.ndarray:
+    def flood(
+        self, start: int, live: np.ndarray, seen: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Mask of the live nodes reachable from ``start`` (included).
 
         Array-frontier BFS: one :meth:`gather` per hop ring, masking
-        dead and already-reached nodes.
+        dead and already-reached nodes.  Marks into ``seen`` when given
+        (and returns it), so flooding several components into one mask
+        costs their sizes, not one n-sized mask each.
         """
-        seen = np.zeros(self.n_nodes, dtype=bool)
+        if seen is None:
+            seen = np.zeros(self.n_nodes, dtype=bool)
         seen[start] = True
         frontier = np.array([start], dtype=np.int64)
         while frontier.size:
             cand = self.gather(frontier)
-            frontier = np.unique(cand[live[cand] & ~seen[cand]])
+            frontier = _sorted_unique(cand[live[cand] & ~seen[cand]])
             seen[frontier] = True
         return seen
 
@@ -386,70 +364,37 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-def average_degree(adj, alive: Sequence[bool] = None) -> float:
+def average_degree(csr: CsrAdjacency, alive: Sequence[bool] = None) -> float:
     """Mean neighbour count, optionally restricted to alive nodes.
 
-    Accepts either the legacy per-node neighbour sets/lists or a
-    :class:`CsrAdjacency` directly; the CSR path never materialises
-    Python collections (the large-n hot path) and returns the exact
-    same float (integer sum over integer count in both cases).
+    An integer sum over an integer count, so the float is exact; no
+    Python collection is materialised (the large-n hot path).
     """
-    if isinstance(adj, CsrAdjacency):
-        n = adj.n_nodes
-        if n == 0:
-            return 0.0
-        if alive is None:
-            return int(len(adj.indices)) / n
-        alive_arr = np.asarray(alive, dtype=bool)
-        live_deg = np.zeros(len(adj.indices) + 1, dtype=np.int64)
-        np.cumsum(alive_arr[adj.indices], out=live_deg[1:])
-        degrees = live_deg[adj.indptr[1:]] - live_deg[adj.indptr[:-1]]
-        degrees = degrees[alive_arr]
-        if degrees.size == 0:
-            return 0.0
-        return int(degrees.sum()) / int(degrees.size)
-    if alive is None:
-        degrees = [len(s) for s in adj]
-    else:
-        degrees = [
-            sum(1 for j in s if alive[j]) for i, s in enumerate(adj) if alive[i]
-        ]
-    if not degrees:
+    n = csr.n_nodes
+    if n == 0:
         return 0.0
-    return sum(degrees) / len(degrees)
+    if alive is None:
+        return int(len(csr.indices)) / n
+    alive_arr = np.asarray(alive, dtype=bool)
+    live_deg = np.zeros(len(csr.indices) + 1, dtype=np.int64)
+    np.cumsum(alive_arr[csr.indices], out=live_deg[1:])
+    degrees = live_deg[csr.indptr[1:]] - live_deg[csr.indptr[:-1]]
+    degrees = degrees[alive_arr]
+    if degrees.size == 0:
+        return 0.0
+    return int(degrees.sum()) / int(degrees.size)
 
 
-def is_connected(adj, alive: Sequence[bool] = None) -> bool:
-    """True when all (alive) nodes are mutually reachable.
-
-    Accepts the legacy neighbour sets/lists or a :class:`CsrAdjacency`;
-    the CSR path runs :meth:`CsrAdjacency.flood` instead of a per-node
-    Python loop.
-    """
-    if isinstance(adj, CsrAdjacency):
-        n = adj.n_nodes
-        live_arr = (
-            np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
-        )
-        live_idx = np.flatnonzero(live_arr)
-        if live_idx.size == 0:
-            return True  # vacuously connected
-        seen = adj.flood(int(live_idx[0]), live_arr)
-        return int(seen.sum()) == int(live_idx.size)
-    n = len(adj)
-    live = [True] * n if alive is None else list(alive)
-    start = next((i for i in range(n) if live[i]), None)
-    if start is None:
+def is_connected(csr: CsrAdjacency, alive: Sequence[bool] = None) -> bool:
+    """True when all (alive) nodes are mutually reachable (one
+    :meth:`CsrAdjacency.flood` from the first alive node)."""
+    n = csr.n_nodes
+    live = np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
+    live_idx = np.flatnonzero(live)
+    if live_idx.size == 0:
         return True  # vacuously connected
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if live[v] and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == sum(live)
+    seen = csr.flood(int(live_idx[0]), live)
+    return int(seen.sum()) == int(live_idx.size)
 
 
 def k_hop_neighbors(

@@ -440,26 +440,20 @@ class EpochTransport:
         """
         tree = self.network.tree
         order = tree.subtree_order_bottom_up()
+        parents = tree.parent[order].tolist()
         if self.engine is None:
-            for u in order:
-                if u == tree.sink:
-                    continue
-                parent = tree.parent[u]
-                if parent is None:
+            for u, parent in zip(order, parents):
+                if u == tree.sink or parent < 0:
                     continue
                 yield Hop(u, parent)
             return
 
         current_level: Optional[int] = None
-        for u in order:
-            level = tree.level[u] or 0
+        for u, level, parent in zip(order, tree.level[order].tolist(), parents):
             if current_level is None or level < current_level:
                 self.engine.advance_to_slot(level)
                 current_level = level
-            if u == tree.sink:
-                continue
-            parent = tree.parent[u]
-            if parent is None:
+            if u == tree.sink or parent < 0:
                 continue
             if not self.engine.alive(u):
                 self._processed.add(u)
@@ -507,32 +501,31 @@ class EpochTransport:
 
         engine = self.engine
         assert engine is not None
-        tree = self.network.tree
-        my_level = tree.level[u] or 0
+        network = self.network
+        level = network.tree.level
+        my_level = int(level[u])
+        nbrs = network.csr.neighbors(u)
         responders = [
-            w
-            for w in self.network.neighbor_lists[u]
-            if engine.alive(w) and tree.level[w] is not None
+            (w, lw)
+            for w, lw in zip(nbrs.tolist(), level[nbrs].tolist())
+            if lw >= 0 and engine.alive(w)
         ]
-        self.costs.charge_local_broadcast(u, responders, REPAIR_PROBE_BYTES)
-        for w in responders:
+        self.costs.charge_local_broadcast(
+            u, [w for w, _ in responders], REPAIR_PROBE_BYTES
+        )
+        for w, _ in responders:
             self.costs.charge_hop(w, u, REPAIR_REPLY_BYTES)
         candidates = [
-            w
-            for w in responders
-            if (tree.level[w] or 0) < my_level
-            or ((tree.level[w] or 0) == my_level and slot_pending(w))
+            (w, lw)
+            for w, lw in responders
+            if lw < my_level or (lw == my_level and slot_pending(w))
         ]
         if not candidates:
             return None
-        sink_pos = self.network.nodes[tree.sink].position
-        best = min(
-            candidates,
-            key=lambda w: (
-                tree.level[w],
-                dist(self.network.nodes[w].position, sink_pos),
-                w,
-            ),
+        pos = network.positions_array
+        sink_pos = pos[network.tree.sink].tolist()
+        best, _ = min(
+            candidates, key=lambda c: (c[1], dist(pos[c[0]].tolist(), sink_pos), c[0])
         )
         self.costs.charge_hop(u, best, REPAIR_JOIN_BYTES)
         self._report.repaired_orphans += 1
@@ -680,17 +673,15 @@ class EpochTransport:
         assert engine is not None
         tree = self.network.tree
         cfg = self.config
-        levels_arr = tree.level_array
-        parent_arr = tree.parent_array
         for lvl in range(tree.depth, 0, -1):
-            members = np.flatnonzero(levels_arr == lvl)
+            members = tree.members_at(lvl)
             if members.size == 0:
                 continue
             engine.advance_to_slot(lvl)
             with profiling.stage("transport.batch.decide"):
                 alive = engine.alive_array()
                 m_alive = alive[members]
-                parents = parent_arr[members]
+                parents = tree.parent[members]
                 routed = parents >= 0
                 p_alive = m_alive & routed & alive[np.where(routed, parents, 0)]
                 new_parent: Dict[int, int] = {}
@@ -701,7 +692,7 @@ class EpochTransport:
                         w = self._reparent_with(u, lambda x, _u=u: x > _u)
                         if w is not None:
                             new_parent[u] = w
-                            if (tree.level[w] or 0) == lvl:
+                            if tree.level[w] == lvl:
                                 cuts.add(w)
             batch: List[Tuple[int, int, Sequence[OutFrame]]] = []
             members_list = members.tolist()
@@ -1013,48 +1004,31 @@ class EpochTransport:
     def _count_disconnected(self) -> int:
         """Components of the end-of-epoch alive graph cut off the sink.
 
-        First floods the sink's component over the CSR adjacency
+        Floods the sink's component, then each component left over, into
+        one mask over the CSR adjacency
         (:meth:`~repro.network.topology.CsrAdjacency.flood`, one gather
-        per hop ring instead of a Python loop over every node's
-        neighbour list), then counts components among the -- typically
-        few -- alive nodes left over with the scalar sweep.
-        Differential-tested against :meth:`_count_disconnected_reference`,
-        the retained full scan.
+        per hop ring), so the whole count costs one pass over the alive
+        graph.  Differential-tested against
+        :meth:`_count_disconnected_reference`, the retained full scan.
         """
         net = self.network
-        n = net.n_nodes
-        alive = np.fromiter((nd.alive for nd in net.nodes), dtype=bool, count=n)
-        if self.engine is not None:
-            alive &= self.engine.alive_array()
-        sink = net.sink_index
-        if alive[sink]:
-            seen = net.csr.flood(sink, alive)
-        else:
-            seen = np.zeros(n, dtype=bool)
-        leftover = np.flatnonzero(alive & ~seen)
-        if leftover.size == 0:
-            return 0
+        alive = net.alive if self.engine is None else self.engine.alive_array()
+        seen = np.zeros(net.n_nodes, dtype=bool)
+        if alive[net.sink_index]:
+            net.csr.flood(net.sink_index, alive, seen)
         regions = 0
-        nbrs = net.neighbor_lists
-        for start in leftover.tolist():
-            if seen[start]:
-                continue
-            seen[start] = True
-            regions += 1
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in nbrs[x]:
-                    if alive[y] and not seen[y]:
-                        seen[y] = True
-                        queue.append(y)
+        for start in np.flatnonzero(alive & ~seen).tolist():
+            if not seen[start]:
+                regions += 1
+                net.csr.flood(start, alive, seen)
         return regions
 
     def _count_disconnected_reference(self) -> int:
         """The scalar full-graph sweep (differential-test reference)."""
         n = self.network.n_nodes
+        csr = self.network.csr
         alive = [
-            self.network.nodes[i].alive
+            bool(self.network.alive[i])
             and (self.engine is None or self.engine.alive(i))
             for i in range(n)
         ]
@@ -1068,7 +1042,7 @@ class EpochTransport:
             contains_sink = start == self.network.sink_index
             while queue:
                 x = queue.popleft()
-                for y in self.network.neighbor_lists[x]:
+                for y in csr.neighbors(x).tolist():
                     if alive[y] and not seen[y]:
                         seen[y] = True
                         contains_sink = contains_sink or y == self.network.sink_index
@@ -1092,10 +1066,10 @@ def disseminate_query(
     each such parent transmits it once.  (A node with a tree parent is
     routed, and so is its parent.)
     """
-    parent = network.tree.parent_array
+    parent = network.tree.parent
     kids = np.flatnonzero(parent >= 0)
     parents = parent[kids]
-    heard = network.alive_mask()[parents]
+    heard = network.alive[parents]
     kids = kids[heard]
     sends = np.zeros(parent.size, dtype=bool)
     sends[parents[heard]] = True
@@ -1127,7 +1101,7 @@ def forward_reports_to_sink(
     delivered: set = set()
     pending: List[Tuple[int, int]] = []  # (frame index, rid), routed non-sink
     for i, (s, _nbytes) in enumerate(frames):
-        if tree.level[s] is None:
+        if tree.level[s] < 0:
             continue
         rid = transport.register()
         if s == tree.sink:
@@ -1197,18 +1171,14 @@ def _zero_fault_closed_form(
     for s, size in frames:
         counts[s] += 1
         nbytes[s] += size
-    parent_arr = tree.parent_array
-    levels = tree.level_array
     for lvl in range(tree.depth, 0, -1):
-        members = np.flatnonzero(levels == lvl)
-        if members.size == 0:
-            continue
+        members = tree.members_at(lvl)
         senders = members[counts[members] > 0]
         if senders.size == 0:
             continue
         c = counts[senders]
         b = nbytes[senders]
-        parents = parent_arr[senders]
+        parents = tree.parent[senders]
         costs.charge_tx_batch(senders, b)
         costs.charge_rx_batch(parents, b)
         if ops_per_forward:

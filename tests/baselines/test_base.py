@@ -67,10 +67,14 @@ class TestNearestReportBandMap:
 
 def disseminate_reference(network, query_bytes, costs):
     """The per-node query flood the batched one replaced."""
+    children = {}
+    for c, node in enumerate(network.nodes):
+        if node.parent is not None:
+            children.setdefault(node.parent, []).append(c)
     for node in network.nodes:
         if node.level is None or not node.alive:
             continue
-        kids = [c for c in node.children if network.nodes[c].level is not None]
+        kids = [c for c in children.get(node.node_id, ()) if network.nodes[c].level is not None]
         if kids:
             costs.charge_local_broadcast(node.node_id, kids, query_bytes)
 

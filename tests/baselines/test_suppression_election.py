@@ -2,8 +2,8 @@
 
 :meth:`DataSuppressionProtocol._elect_representatives` reads every
 voter's 2-hop sensing neighbourhood from one multi-source expansion.
-The reference below is the per-node election it replaced: one
-:meth:`SensorNetwork.k_hop_sensing_neighbors` call per voter.  Both must
+The reference below is the per-node election it replaced: one 2-hop
+expansion per voter.  Both must
 elect the same representatives and charge the same operations at every
 node.
 """
@@ -18,6 +18,7 @@ from repro.baselines.suppression import OPS_PER_COMPARISON
 from repro.experiments.common import default_levels, harbor_network
 from repro.field import make_harbor_field
 from repro.network import CostAccountant
+from tests.network.neighbourhoods import k_hop_sensing_neighbours
 
 
 def elect_reference(protocol, network, costs):
@@ -26,7 +27,7 @@ def elect_reference(protocol, network, costs):
         if not node.can_sense or node.level is None:
             continue
         i = node.node_id
-        two_hop = network.k_hop_sensing_neighbors(i, 2)
+        two_hop = k_hop_sensing_neighbours(network, i, 2)
         suppressed = False
         for j in two_hop:
             if j not in representatives:

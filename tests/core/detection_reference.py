@@ -3,8 +3,7 @@
 This is detection as it ran before :mod:`repro.core.detection` became
 array passes: every routed sensing node checks its own value against
 each border region, and every candidate probes its k-hop neighbourhood
-on its own (:meth:`SensorNetwork.k_hop_sensing_neighbors`, one liveness
-read per candidate).  It lives here, beside the differential tests, as
+on its own (one CSR expansion and one liveness read per candidate).  It lives here, beside the differential tests, as
 the oracle the batched implementation must match charge for charge and
 in result order.
 """
@@ -22,6 +21,11 @@ from repro.core.query import ContourQuery
 from repro.core.wire import BYTES_PER_PARAM, LOCAL_QUERY_BYTES, LOCAL_REPLY_BYTES
 from repro.geometry import Vec
 from repro.network import CostAccountant, SensorNetwork
+from tests.network.neighbourhoods import (
+    alive_neighbours,
+    k_hop_sensing_neighbours,
+    sensing_neighbours,
+)
 
 
 def detect_isoline_nodes_reference(
@@ -46,7 +50,7 @@ def detect_isoline_nodes_reference(
         )
 
         straddles = False
-        one_hop = set(network.sensing_neighbors(node.node_id))
+        one_hop = set(sensing_neighbours(network, node.node_id))
         costs.charge_ops(node.node_id, OPS_PER_STRADDLE_CHECK * len(one_hop))
         for j in one_hop:
             vq = network.nodes[j].value
@@ -69,14 +73,14 @@ def _detect_straddle_reference(
         node for node in network.nodes if node.can_sense and node.level is not None
     ]
     for node in participants:
-        alive_nbrs = network.alive_neighbors(node.node_id)
+        alive_nbrs = alive_neighbours(network, node.node_id)
         costs.charge_local_broadcast(node.node_id, alive_nbrs, BYTES_PER_PARAM)
 
     for node in participants:
         vp = node.value
         nbr_values = [
             (j, network.nodes[j].value)
-            for j in network.sensing_neighbors(node.node_id)
+            for j in sensing_neighbours(network, node.node_id)
         ]
         best_level = None
         best_gap = None
@@ -116,10 +120,12 @@ def probe_neighborhood_reference(
     then a (value, x, y) reply from every sensing node within ``k_hop``
     hops -- one hop from ring 1, ``k_hop`` hops from farther out."""
     costs.charge_local_broadcast(
-        node_id, network.alive_neighbors(node_id), LOCAL_QUERY_BYTES
+        node_id, alive_neighbours(network, node_id), LOCAL_QUERY_BYTES
     )
-    responders = network.k_hop_sensing_neighbors(node_id, k_hop)
-    one_hop_ids = frozenset(network.neighbor_lists[node_id]) if k_hop > 1 else None
+    responders = k_hop_sensing_neighbours(network, node_id, k_hop)
+    one_hop_ids = (
+        frozenset(network.csr.neighbors(node_id).tolist()) if k_hop > 1 else None
+    )
     data: List[Tuple[Vec, float]] = []
     for j in responders:
         hops = 1 if one_hop_ids is None or j in one_hop_ids else k_hop

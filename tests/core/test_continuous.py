@@ -146,7 +146,7 @@ class TestRetractionEdgeCases:
         net.nodes[victim].alive = False
         net.nodes[victim].sensing_ok = False
         net.rebuild_tree()
-        assert net.tree.level[victim] is None  # precondition: unroutable
+        assert net.tree.level[victim] == -1  # precondition: unroutable
         r = mon.epoch(net)
         assert victim in r.retractions
         assert all(rep.source != victim for rep in mon.sink_reports)

@@ -163,7 +163,7 @@ class TestSnapshotIsPerCall:
         query = ContourQuery(lo, hi, step, epsilon_fraction=0.2, k_hop=2)
         first = detect_isoline_nodes(net, query, CostAccountant(net.n_nodes))
         cand = first.candidates[0]
-        victim = net.neighbor_lists[cand][0]
+        victim = int(net.csr.neighbors(cand)[0])
         assert net.nodes[victim].alive
         before = len(first.neighborhood_data[cand])
 
@@ -184,7 +184,7 @@ class TestSnapshotIsPerCall:
         query = ContourQuery(lo, hi, step, epsilon_fraction=0.2)
         first = detect_isoline_nodes(net, query, CostAccountant(net.n_nodes))
         victim = first.candidates[0]
-        assert any(victim in net.neighbor_lists[c] for c in first.candidates)
+        assert any(victim in net.csr.neighbors(c) for c in first.candidates)
         net.nodes[victim].sensing_ok = False
         costs = CostAccountant(net.n_nodes)
         second = detect_isoline_nodes(net, query, costs)

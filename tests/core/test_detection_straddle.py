@@ -8,6 +8,7 @@ from repro.core.wire import BYTES_PER_PARAM, LOCAL_QUERY_BYTES, LOCAL_REPLY_BYTE
 from repro.field import PlaneField, RadialField
 from repro.geometry import BoundingBox
 from repro.network import CostAccountant, SensorNetwork
+from tests.network.neighbourhoods import alive_neighbours, k_hop_sensing_neighbours
 
 BOX = BoundingBox(0, 0, 20, 20)
 
@@ -103,8 +104,8 @@ class TestStraddleDetection:
         ]
         replies = reply_hops = 0
         for node_id in res.isoline_nodes:
-            one_hop = set(net.neighbor_lists[node_id])
-            responders = net.k_hop_sensing_neighbors(node_id, 2)
+            one_hop = set(net.csr.neighbors(node_id).tolist())
+            responders = k_hop_sensing_neighbours(net, node_id, 2)
             assert len(res.neighborhood_data[node_id]) == len(responders)
             replies += len(responders)
             reply_hops += sum(1 if j in one_hop else 2 for j in responders)
@@ -115,10 +116,10 @@ class TestStraddleDetection:
         value_tx = BYTES_PER_PARAM * len(participants)
         probe_tx = LOCAL_QUERY_BYTES * len(res.isoline_nodes)
         value_rx = BYTES_PER_PARAM * sum(
-            len(net.alive_neighbors(i)) for i in participants
+            len(alive_neighbours(net, i)) for i in participants
         )
         probe_rx = LOCAL_QUERY_BYTES * sum(
-            len(net.alive_neighbors(i)) for i in res.isoline_nodes
+            len(alive_neighbours(net, i)) for i in res.isoline_nodes
         )
         want = LOCAL_REPLY_BYTES * reply_hops
         assert costs.tx_bytes.sum() - value_tx - probe_tx == want

@@ -119,11 +119,8 @@ class TestRun:
         res = IsoMapProtocol(q).run(net)
         # Traffic comes from dissemination only; every node with children
         # transmitted once.
-        internal = sum(
-            1
-            for node in net.nodes
-            if node.level is not None
-            and any(net.nodes[c].level is not None for c in node.children)
+        internal = len(
+            {node.parent for node in net.nodes if node.parent is not None}
         )
         from repro.core.wire import QUERY_BYTES
 

@@ -166,7 +166,7 @@ class TestScheduleCache:
             for i in range(net.n_nodes)
             if i != net.sink_index
             and net.nodes[i].alive
-            and net.tree.level[i] is not None
+            and net.tree.level[i] >= 0
         ]
         rng = random.Random(f"{plan.seed}|schedule")
         want = rng.sample(candidates, int(0.2 * len(candidates) + 0.5))
@@ -193,7 +193,7 @@ class TestFaultEngine:
             for i in range(net.n_nodes)
             if i != net.sink_index
             and net.nodes[i].alive
-            and net.tree.level[i] is not None
+            and net.tree.level[i] >= 0
         )
         engine = FaultEngine(FaultPlan(seed=0, crash_ratio=0.1), net)
         engine.finish_epoch()
@@ -221,7 +221,7 @@ class TestFaultEngine:
         net = dense_net(seed=5)
         victim = next(
             i for i in range(net.n_nodes)
-            if i != net.sink_index and net.tree.level[i] is not None
+            if i != net.sink_index and net.tree.level[i] >= 0
         )
         plan = FaultPlan(
             events=(FaultEvent(5, victim, CRASH), FaultEvent(2, victim, RECOVER))

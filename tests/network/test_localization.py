@@ -11,6 +11,7 @@ from repro.network import SensorNetwork
 from repro.network.localization import (
     LocalizationResult,
     _gauss_newton_step,
+    _measure_ranges,
     _multilaterate,
     clear_localization,
     localize,
@@ -48,6 +49,22 @@ class TestMultilaterate:
         est = _multilaterate(obs)
         assert est is not None
         assert dist(est, target) < 0.5
+
+
+class TestMeasureRanges:
+    def test_neighbours_measured_in_ascending_id(self):
+        # One noise draw per neighbour, in node-id order: the draws must
+        # not follow a container's iteration order.
+        net = dense_net(seed=1)
+        estimates = {i: net.nodes[i].position for i in range(net.n_nodes) if i % 5}
+        ranges = _measure_ranges(net, estimates, 0.05, random.Random(0))
+        assert list(ranges) == list(estimates)
+        for i in estimates:
+            ids = [j for j, _ in ranges[i]]
+            assert ids == sorted(ids)
+            assert set(ids) == {
+                j for j in net.csr.neighbors(i).tolist() if j in estimates
+            }
 
 
 class TestGaussNewton:

@@ -1,10 +1,10 @@
 """Differential tests: CSR frontier-BFS tree builder vs the scalar reference.
 
-``build_routing_tree`` dispatches on the adjacency type: a
-:class:`CsrAdjacency` takes the vectorized frontier-array path, per-node
-lists take the scalar FIFO-BFS reference.  Both must produce the
-*identical* tree -- levels, parents (including distance tie-breaks) and
-children in the identical order -- on any graph and any liveness mask.
+``build_routing_tree`` runs the vectorized frontier-array BFS over a
+:class:`CsrAdjacency`; ``build_routing_tree_reference`` runs the scalar
+FIFO-BFS over per-node neighbour lists read off the same CSR.  Both must
+produce the *identical* tree -- levels and parents (including distance
+tie-breaks) -- on any graph and any liveness mask.
 """
 
 import random
@@ -20,6 +20,7 @@ from repro.network.routing_tree import (
     build_routing_tree_reference,
 )
 from repro.network.topology import build_csr_adjacency
+from tests.network.neighbourhoods import neighbour_lists
 
 BOX = BoundingBox(0, 0, 20, 20)
 
@@ -30,26 +31,20 @@ def _random_instance(seed, n=300, radio_range=2.0):
         (rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(n)
     ]
     csr = build_csr_adjacency(positions, radio_range)
-    neighbor_lists = [
-        sorted(csr.neighbors(i)) for i in range(n)
-    ]
-    return positions, csr, neighbor_lists
+    return positions, csr, neighbour_lists(csr)
 
 
 def _assert_trees_equal(fast, ref):
     assert fast.sink == ref.sink
-    assert fast.level == ref.level
-    assert fast.parent == ref.parent
-    assert fast.children == ref.children
+    assert np.array_equal(fast.level, ref.level)
+    assert np.array_equal(fast.parent, ref.parent)
     assert fast.subtree_order_bottom_up() == ref.subtree_order_bottom_up()
-    # The cached array views match the lists and are read-only.
+    # The arrays are int64 (-1 for none) and read-only.
     for tree in (fast, ref):
-        assert tree.level_array.tolist() == [-1 if l is None else l for l in tree.level]
-        assert tree.parent_array.tolist() == [-1 if p is None else p for p in tree.parent]
-        assert tree.level_array.dtype == tree.parent_array.dtype == np.int64
-        assert not tree.level_array.flags.writeable
-        assert not tree.parent_array.flags.writeable
-    depth = max((l for l in ref.level if l is not None), default=0)
+        assert tree.level.dtype == tree.parent.dtype == np.int64
+        assert not tree.level.flags.writeable
+        assert not tree.parent.flags.writeable
+    depth = max(ref.level.tolist() + [0])
     assert fast.depth == ref.depth == depth
 
 
@@ -75,19 +70,17 @@ class TestVectorizedTreeBuilder:
         # segmented argmin must pick the same parent the scalar scan does.
         positions = [(0.0, 0.0)] + [(1.0, 0.0)] * 4 + [(2.0, 0.0)] * 4
         csr = build_csr_adjacency(positions, 1.5)
-        lists = [sorted(csr.neighbors(i)) for i in range(len(positions))]
         fast = build_routing_tree(positions, csr, sink=0)
-        ref = build_routing_tree_reference(positions, lists, sink=0)
+        ref = build_routing_tree_reference(positions, neighbour_lists(csr), sink=0)
         _assert_trees_equal(fast, ref)
 
     def test_disconnected_components_stay_unrouted(self):
         positions = [(0.0, 0.0), (1.0, 0.0), (10.0, 10.0), (11.0, 10.0)]
         csr = build_csr_adjacency(positions, 1.5)
-        lists = [sorted(csr.neighbors(i)) for i in range(len(positions))]
         fast = build_routing_tree(positions, csr, sink=0)
-        ref = build_routing_tree_reference(positions, lists, sink=0)
+        ref = build_routing_tree_reference(positions, neighbour_lists(csr), sink=0)
         _assert_trees_equal(fast, ref)
-        assert fast.level[2] is None and fast.level[3] is None
+        assert fast.level[2] == -1 and fast.level[3] == -1
 
     def test_network_rebuild_after_failures(self):
         # The network's own rebuild path (CSR) must agree with the scalar
@@ -99,6 +92,6 @@ class TestVectorizedTreeBuilder:
         alive = [node.alive for node in net.nodes]
         fast = build_routing_tree(positions, net.csr, net.sink_index, alive=alive)
         ref = build_routing_tree_reference(
-            positions, net.neighbor_lists, net.sink_index, alive=alive
+            positions, neighbour_lists(net.csr), net.sink_index, alive=alive
         )
         _assert_trees_equal(fast, ref)

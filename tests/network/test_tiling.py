@@ -21,6 +21,11 @@ from repro.network.topology import (
     average_degree,
     is_connected,
 )
+from tests.network.neighbourhoods import (
+    average_degree_of_sets,
+    is_connected_sets,
+    neighbour_sets,
+)
 
 BOX = BoundingBox(0, 0, 20, 20)
 
@@ -116,23 +121,23 @@ class TestChunkedDiskEdges:
 
 
 # ----------------------------------------------------------------------
-# CSR-native degree / connectivity (no to_sets round trip)
+# CSR-native degree / connectivity against set-based oracles
 # ----------------------------------------------------------------------
 
 
 class TestCsrDegreeConnectivity:
     def test_average_degree_matches_sets(self):
         net = radial_net(n=300, seed=4)
-        sets = net.csr.to_sets()
-        assert average_degree(net.csr) == average_degree(sets)
+        sets = neighbour_sets(net.csr)
+        assert average_degree(net.csr) == average_degree_of_sets(sets)
 
     def test_average_degree_with_alive_mask(self):
         net = radial_net(n=300, seed=4)
-        sets = net.csr.to_sets()
+        sets = neighbour_sets(net.csr)
         rng = np.random.default_rng(0)
         for _ in range(5):
             alive = rng.random(300) > 0.3
-            assert average_degree(net.csr, alive) == average_degree(
+            assert average_degree(net.csr, alive) == average_degree_of_sets(
                 sets, alive.tolist()
             )
 
@@ -145,12 +150,12 @@ class TestCsrDegreeConnectivity:
 
     def test_is_connected_matches_sets(self):
         net = radial_net(n=300, seed=4)
-        sets = net.csr.to_sets()
+        sets = neighbour_sets(net.csr)
         rng = np.random.default_rng(1)
-        assert is_connected(net.csr) == is_connected(sets)
+        assert is_connected(net.csr) == is_connected_sets(sets)
         for _ in range(5):
             alive = rng.random(300) > 0.4
-            assert is_connected(net.csr, alive) == is_connected(
+            assert is_connected(net.csr, alive) == is_connected_sets(
                 sets, alive.tolist()
             )
 
@@ -160,10 +165,10 @@ class TestCsrDegreeConnectivity:
         ii = np.array([0, 0, 1, 3, 3, 4])
         jj = np.array([1, 2, 2, 4, 5, 5])
         csr = CsrAdjacency.from_edges(6, ii, jj)
-        sets = csr.to_sets()
+        sets = neighbour_sets(csr)
         assert is_connected(csr) is False
-        assert is_connected(csr) == is_connected(sets)
+        assert is_connected(csr) == is_connected_sets(sets)
         alive = np.array([True, True, True, False, False, False])
         assert is_connected(csr, alive) is True
-        assert is_connected(csr, alive) == is_connected(sets, alive.tolist())
+        assert is_connected(csr, alive) == is_connected_sets(sets, alive.tolist())
         assert is_connected(csr, np.zeros(6, dtype=bool)) is True

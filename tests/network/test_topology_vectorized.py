@@ -20,12 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import (
-    build_adjacency,
-    build_adjacency_reference,
-    build_csr_adjacency,
-)
+from repro.network import build_adjacency_reference, build_csr_adjacency
 from repro.network.topology import k_hop_neighbors
+from tests.network.neighbourhoods import disk_sets, neighbour_sets
 
 
 def brute_force_adjacency(positions, radio_range):
@@ -46,12 +43,11 @@ def brute_force_adjacency(positions, radio_range):
 
 def assert_all_agree(positions, radio_range):
     oracle = brute_force_adjacency(positions, radio_range)
-    assert build_adjacency(positions, radio_range) == oracle
     assert build_adjacency_reference(positions, radio_range) == oracle
     csr = build_csr_adjacency(positions, radio_range)
-    assert csr.to_sets() == oracle
+    assert neighbour_sets(csr) == oracle
     # Array input must take the same code path as list-of-tuples input.
-    assert build_csr_adjacency(np.asarray(positions), radio_range).to_sets() == oracle
+    assert neighbour_sets(build_csr_adjacency(np.asarray(positions), radio_range)) == oracle
 
 
 def test_random_clouds_match_brute_force():
@@ -65,18 +61,18 @@ def test_pair_exactly_at_radio_range_is_connected():
     # d^2 == r^2 exactly: the <= boundary must be inclusive in every impl.
     pts = [(0.0, 0.0), (1.5, 0.0), (0.0, -1.5), (10.0, 10.0)]
     assert_all_agree(pts, 1.5)
-    adj = build_adjacency(pts, 1.5)
+    adj = disk_sets(pts, 1.5)
     assert adj[0] == {1, 2}
     # 3-4-5 triangle scaled so the hypotenuse is exactly the range.
     pts = [(0.0, 0.0), (0.9, 1.2)]
-    assert build_adjacency(pts, 1.5)[0] == {1}
+    assert disk_sets(pts, 1.5)[0] == {1}
 
 
 def test_pair_just_beyond_radio_range_is_not_connected():
     r = 1.5
     pts = [(0.0, 0.0), (math.nextafter(r, math.inf), 0.0)]
     assert_all_agree(pts, r)
-    assert build_adjacency(pts, r)[0] == set()
+    assert disk_sets(pts, r)[0] == set()
 
 
 def test_nodes_on_bucket_borders():
@@ -101,7 +97,7 @@ def test_negative_and_mixed_sign_coordinates():
 def test_duplicate_positions():
     pts = [(2.0, 2.0)] * 4 + [(2.0, 3.0), (9.0, 9.0)]
     assert_all_agree(pts, 1.5)
-    adj = build_adjacency(pts, 1.5)
+    adj = disk_sets(pts, 1.5)
     assert adj[0] == {1, 2, 3, 4}  # co-located nodes see each other, not self
 
 
@@ -114,10 +110,10 @@ def test_single_row_and_single_column_layouts():
 
 
 def test_empty_and_invalid_inputs():
-    assert build_adjacency([], 1.5) == []
+    assert build_adjacency_reference([], 1.5) == []
     assert build_csr_adjacency([], 1.5).n_nodes == 0
     with pytest.raises(ValueError):
-        build_adjacency([(0.0, 0.0)], 0.0)
+        build_csr_adjacency([(0.0, 0.0)], 0.0)
     with pytest.raises(ValueError):
         build_csr_adjacency([(0.0, 0.0)], -1.0)
 
@@ -142,7 +138,7 @@ def test_k_hop_csr_matches_set_based():
     rng = random.Random(3)
     pts = [(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(200)]
     csr = build_csr_adjacency(pts, 1.5)
-    sets = csr.to_sets()
+    sets = neighbour_sets(csr)
     for start in (0, 17, 199):
         for k in (0, 1, 2, 3, 10):
             want = sorted(k_hop_neighbors(sets, start, k))
@@ -154,7 +150,7 @@ def test_k_hop_respects_alive_mask():
     rng = random.Random(9)
     pts = [(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(150)]
     csr = build_csr_adjacency(pts, 1.5)
-    sets = csr.to_sets()
+    sets = neighbour_sets(csr)
     alive = [rng.random() > 0.3 for _ in pts]
     for start in (0, 60, 149):
         for k in (1, 2, 4):
@@ -167,7 +163,7 @@ def test_k_hop_rejects_negative_k():
     with pytest.raises(ValueError):
         csr.k_hop_neighbors(0, -1)
     with pytest.raises(ValueError):
-        k_hop_neighbors(csr.to_sets(), 0, -1)
+        k_hop_neighbors(neighbour_sets(csr), 0, -1)
 
 
 def test_gather_concatenates_rows_in_order():
@@ -184,7 +180,7 @@ def test_flood_reaches_the_live_component():
     rng = random.Random(6)
     pts = [(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(150)]
     csr = build_csr_adjacency(pts, 1.5)
-    sets = csr.to_sets()
+    sets = neighbour_sets(csr)
     live = np.array([rng.random() > 0.3 for _ in pts])
     for start in np.flatnonzero(live)[:5].tolist():
         reached = k_hop_neighbors(sets, start, len(pts), alive=live.tolist())
@@ -217,7 +213,7 @@ def test_k_hop_pairs_match_set_based(seed):
     n = rng.choice([40, 150, 300])
     pts = [(rng.uniform(0, 15), rng.uniform(0, 15)) for _ in range(n)]
     csr = build_csr_adjacency(pts, rng.choice([1.0, 1.5, 2.5]))
-    sets = csr.to_sets()
+    sets = neighbour_sets(csr)
     alive = [rng.random() > 0.3 for _ in pts]
     sources = rng.sample(range(n), rng.randint(1, n))
     for k in (0, 1, 2, 3):
@@ -232,7 +228,7 @@ def test_k_hop_pairs_edge_cases():
     # A path 0-1-2-3 plus an isolated node 4.
     pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (9.0, 9.0)]
     csr = build_csr_adjacency(pts, 1.2)
-    sets = csr.to_sets()
+    sets = neighbour_sets(csr)
     # k far beyond the diameter: every reachable node, once, at its distance.
     assert _pairs(csr, [0], 50) == [(0, 1, 1), (0, 2, 2), (0, 3, 3)]
     assert _pairs(csr, [4], 3) == []  # isolated source

@@ -95,9 +95,9 @@ class TestZeroFaultPath:
         hops = list(transport.walk())
         tree = net.tree
         expected = [
-            (u, tree.parent[u])
+            (u, int(tree.parent[u]))
             for u in tree.subtree_order_bottom_up()
-            if u != tree.sink and tree.parent[u] is not None
+            if u != tree.sink and tree.parent[u] >= 0
         ]
         assert [(h.node, h.parent) for h in hops] == expected
         assert all(h.reason is None for h in hops)
