@@ -1,15 +1,16 @@
 """Benchmark of the slot-batched collection transport -> ``BENCH_transport.json``.
 
-Times the batched level-at-a-time transport kernel against the retained
-per-frame scalar walk (``batched=False``), plus the vectorized topology
+Times the level-at-a-time collection driver
+(``EpochTransport.run_collection``) against the per-frame oracle walk in
+``tests/network/transport_reference.py``, plus the vectorized topology
 construction against its scalar reference:
 
 - ``epoch_moderate_faults``  one full collection epoch (one report per
                              sensing node forwarded to the sink) under
                              ``FaultPlan.moderate()`` -- ARQ, CRC, dedup
                              and re-parenting all exercised.  This is the
-                             headline: the batched kernel is pinned
-                             bit-identical to the scalar walk by the
+                             headline: the level driver is pinned
+                             bit-identical to the oracle by the
                              differential suite and re-verified here
                              before anything is timed.
 - ``tree_build``             CSR frontier-array BFS + segmented parent
@@ -41,11 +42,14 @@ import time
 from typing import Dict, List, Optional
 
 _HERE = pathlib.Path(__file__).resolve().parent
-_SRC = _HERE.parent / "src"
+_ROOT = _HERE.parent
+_SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
     sys.path.insert(0, str(_SRC))
 if str(_HERE) not in sys.path:
     sys.path.insert(0, str(_HERE))
+if str(_ROOT) not in sys.path:  # the oracle lives under tests/
+    sys.path.insert(0, str(_ROOT))
 
 import numpy as np
 
@@ -64,6 +68,7 @@ from repro.network.transport import (
     TransportConfig,
     forward_reports_to_sink,
 )
+from tests.network.transport_reference import forward_reports_reference
 
 BENCH_JSON = _HERE.parent / "BENCH_transport.json"
 
@@ -80,19 +85,21 @@ def _network(n: int, seed: int = 1) -> SensorNetwork:
     return SensorNetwork.random_deploy(field, n, radio_range=1.5, seed=seed)
 
 
-def _run_epoch(net: SensorNetwork, batched: bool, seed: int = 3):
-    """One collection epoch under the moderate plan; returns the evidence
-    tuple the bit-identity check compares."""
+def _run_epoch(net: SensorNetwork, forward=forward_reports_to_sink, seed: int = 3):
+    """One collection epoch under the moderate plan, through ``forward``
+    (the level driver by default, or the oracle's
+    ``forward_reports_reference``); returns the evidence tuple the
+    bit-identity check compares."""
     costs = CostAccountant(net.n_nodes)
     transport = EpochTransport(
         net,
         costs,
-        config=dataclasses.replace(TransportConfig.hardened(), batched=batched),
+        config=TransportConfig.hardened(),
         plan=FaultPlan.moderate(seed=seed),
     )
     state = net.node_state()
     sources = np.flatnonzero(state.can_sense & state.routed).tolist()
-    delivered = forward_reports_to_sink(
+    delivered = forward(
         net, [(s, VALUE_REPORT_BYTES) for s in sources], costs, transport=transport
     )
     degradation = transport.finalize()
@@ -100,9 +107,9 @@ def _run_epoch(net: SensorNetwork, batched: bool, seed: int = 3):
 
 
 def _verify_epoch(net: SensorNetwork) -> None:
-    """Assert the batched epoch is bit-identical to the scalar walk."""
-    d_fast, c_fast, g_fast = _run_epoch(net, batched=True)
-    d_ref, c_ref, g_ref = _run_epoch(net, batched=False)
+    """Assert the level driver's epoch is bit-identical to the oracle's."""
+    d_fast, c_fast, g_fast = _run_epoch(net)
+    d_ref, c_ref, g_ref = _run_epoch(net, forward_reports_reference)
     assert d_fast == d_ref
     assert np.array_equal(c_fast.tx_bytes, c_ref.tx_bytes)
     assert np.array_equal(c_fast.rx_bytes, c_ref.rx_bytes)
@@ -132,10 +139,12 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
     kernels: Dict[str, Dict] = {}
 
     _verify_epoch(net)
-    fast_ms = record.best_of(lambda: _run_epoch(net, batched=True), repeats)
-    ref_ms = record.best_of(lambda: _run_epoch(net, batched=False), repeats)
+    fast_ms = record.best_of(lambda: _run_epoch(net), repeats)
+    ref_ms = record.best_of(
+        lambda: _run_epoch(net, forward_reports_reference), repeats
+    )
     kernels["epoch_moderate_faults"] = record.kernel_entry(
-        "per-frame scalar walk (batched=False)",
+        "per-frame oracle walk (tests/network/transport_reference.py)",
         "slot-batched level kernel (frame_draws_batch + charge_*_batch)",
         ref_ms,
         fast_ms,
@@ -166,7 +175,7 @@ def measure_large_n() -> Dict[str, float]:
     net = _network(LARGE_N)
     build_ms = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
-    _run_epoch(net, batched=True)
+    _run_epoch(net)
     epoch_ms = (time.perf_counter() - t0) * 1e3
     return {
         "n": LARGE_N,

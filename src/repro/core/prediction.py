@@ -47,8 +47,9 @@ own-track innovation gate, and the join-vs-track match gate -- follow
 the repo's kernel-pair convention: a scalar ``*_reference`` twin and a
 vectorized NumPy twin built from the same elementwise expressions, so
 the two are bit-identical (pinned by ``tests/core/test_prediction.py``).
-The sequential re-key/claim bookkeeping on delivered reports is shared
-verbatim by both modes.
+The bank runs the vectorized twins; the scalar ones are the oracles.
+The sequential re-key/claim bookkeeping on delivered reports stays
+plain Python.
 
 ``prediction=None`` on :class:`~repro.core.continuous.ContinuousIsoMap`
 bypasses this module entirely -- the dead-reckoning contract pins that
@@ -110,9 +111,10 @@ class PredictionConfig:
             adoption offset can overshoot the true drift by up to
             ``mu * match_radius``; the clamp keeps one bad offset from
             launching the track across the field.
-        batched: run the decision kernels through the vectorized twins
-            (the default) or the scalar references -- bit-identical
-            either way.
+
+    The bank always runs the ``*_batch`` kernels; their scalar
+    ``*_reference`` twins are kept beside them as the kernel-pair
+    oracles.
     """
 
     position_tolerance: float = 1.0
@@ -123,7 +125,6 @@ class PredictionConfig:
     match_radius: Optional[float] = None
     lease: int = 1
     velocity_clamp: float = 1.0
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.position_tolerance <= 0:
@@ -411,24 +412,14 @@ class PredictorBank:
         tracks = self._sorted_tracks()
         if not tracks:
             return
-        if self.config.batched:
-            x = np.array([t.x for t in tracks])
-            y = np.array([t.y for t in tracks])
-            vx = np.array([t.vx for t in tracks])
-            vy = np.array([t.vy for t in tracks])
-            th = np.array([t.theta for t in tracks])
-            om = np.array([t.omega for t in tracks])
-            nx, ny, nt = advance_tracks_batch(x, y, vx, vy, th, om)
-            nx, ny, nt = nx.tolist(), ny.tolist(), nt.tolist()
-        else:
-            nx, ny, nt = advance_tracks_reference(
-                [t.x for t in tracks],
-                [t.y for t in tracks],
-                [t.vx for t in tracks],
-                [t.vy for t in tracks],
-                [t.theta for t in tracks],
-                [t.omega for t in tracks],
-            )
+        x = np.array([t.x for t in tracks])
+        y = np.array([t.y for t in tracks])
+        vx = np.array([t.vx for t in tracks])
+        vy = np.array([t.vy for t in tracks])
+        th = np.array([t.theta for t in tracks])
+        om = np.array([t.omega for t in tracks])
+        nx, ny, nt = advance_tracks_batch(x, y, vx, vy, th, om)
+        nx, ny, nt = nx.tolist(), ny.tolist(), nt.tolist()
         for i, t in enumerate(tracks):
             t.x = nx[i]
             t.y = ny[i]
@@ -475,19 +466,14 @@ class PredictorBank:
                 [t.isolevel for t in trk],
                 [t.age for t in trk],
             )
-            if cfg.batched:
-                accept, would = track_accept_batch(
-                    *(np.asarray(a, dtype=float) for a in args[:8]),
-                    np.asarray(args[8], dtype=np.int64),
-                    tol_sq,
-                    angle_tol,
-                    cfg.heartbeat,
-                )
-                accept, would = accept.tolist(), would.tolist()
-            else:
-                accept, would = track_accept_reference(
-                    *args, tol_sq, angle_tol, cfg.heartbeat
-                )
+            accept, would = track_accept_batch(
+                *(np.asarray(a, dtype=float) for a in args[:8]),
+                np.asarray(args[8], dtype=np.int64),
+                tol_sq,
+                angle_tol,
+                cfg.heartbeat,
+            )
+            accept, would = accept.tolist(), would.tolist()
             for i, s in enumerate(owned):
                 if accept[i]:
                     predicted += 1
@@ -510,19 +496,14 @@ class PredictorBank:
                 [t.isolevel for t in tracks],
                 [t.age for t in tracks],
             )
-            if cfg.batched:
-                jaccept, jcovered = join_accept_batch(
-                    *(np.asarray(a, dtype=float) for a in jargs[:8]),
-                    np.asarray(jargs[8], dtype=np.int64),
-                    tol_sq,
-                    angle_tol,
-                    cfg.heartbeat,
-                )
-                jaccept, jcovered = jaccept.tolist(), jcovered.tolist()
-            else:
-                jaccept, jcovered = join_accept_reference(
-                    *jargs, tol_sq, angle_tol, cfg.heartbeat
-                )
+            jaccept, jcovered = join_accept_batch(
+                *(np.asarray(a, dtype=float) for a in jargs[:8]),
+                np.asarray(jargs[8], dtype=np.int64),
+                tol_sq,
+                angle_tol,
+                cfg.heartbeat,
+            )
+            jaccept, jcovered = jaccept.tolist(), jcovered.tolist()
             for i, s in enumerate(joins):
                 if jaccept[i]:
                     predicted += 1
@@ -609,10 +590,9 @@ class PredictorBank:
     ) -> None:
         """Fold the delivered stream into the bank (both mirrors run this).
 
-        Sequential claim bookkeeping, shared verbatim by the batched and
-        reference modes: each delivered report corrects its own track,
-        else adopts (re-keys) the nearest unclaimed same-level track
-        within ``match_radius``, else creates a fresh zero-velocity
+        Sequential claim bookkeeping: each delivered report corrects its
+        own track, else adopts (re-keys) the nearest unclaimed same-level
+        track within ``match_radius``, else creates a fresh zero-velocity
         track.  Then delivered retractions evict, and tracks older than
         the heartbeat cap are garbage-collected.
         """

@@ -284,8 +284,9 @@ class IsoMapProtocol:
         Children transmit before their parents (the TAG epoch schedule),
         so by the time a node forwards, every report routed through it has
         been offered to its filter.  All hop traffic goes through the
-        fault-tolerant transport, which degenerates to the classic
-        perfect-link walk (byte-identical charges) under a null plan.
+        fault-tolerant transport's one level driver; under a null plan
+        every frame lands on its first attempt, so the charges are the
+        classic perfect-link ones, byte for byte.
         """
         tree = network.tree
         filters: Dict[int, InNetworkFilter] = {}

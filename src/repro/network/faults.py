@@ -25,9 +25,10 @@ byte-identically regardless of which protocol runs under it -- the
 property that makes Iso-Map-vs-baseline comparisons under faults
 apples-to-apples.  The per-link streams are *counter-based*
 (:mod:`repro.network.rngstream`): draw ``i`` of a stream is a pure
-function of the stream key and ``i``, so the batched transport can
-evaluate a whole tree level's draws as arrays and land on exactly the
-variates the scalar walk reads one by one.  The engine never mutates
+function of the stream key and ``i``, so the transport can evaluate a
+whole tree level's draws as arrays and land on exactly the variates a
+frame-by-frame sender would read one by one (the per-frame oracle in
+``tests/network/transport_reference.py`` does).  The engine never mutates
 the :class:`SensorNetwork`; crash state is kept internally so one
 deployment can be reused across protocol runs and seeds.
 """
@@ -258,7 +259,7 @@ class FaultEngine:
       delivery, corruption, duplication), addressed by frame and attempt
       index so outcomes are independent of evaluation order;
     - ``corrupt``: the Mersenne damage stream feeding
-      :meth:`corrupt_payload` (consumed in walk order by both paths).
+      :meth:`corrupt_payload` (consumed in frame order).
 
     Each frame on an edge owns a fixed draw budget of
     :attr:`attempts_per_frame` slots (the transport's ARQ attempt
@@ -378,7 +379,7 @@ class FaultEngine:
         return bool(self.network.alive[node]) and not self._down_mask[node]
 
     def alive_array(self) -> np.ndarray:
-        """:meth:`alive` for every node at once (batched-walk view)."""
+        """:meth:`alive` for every node at once (the level driver's view)."""
         return self.network.alive & ~self._down_mask
 
     @property
@@ -401,66 +402,6 @@ class FaultEngine:
             self._edges[key] = es
         return es
 
-    def next_frame(self, sender: int, receiver: int) -> int:
-        """Allocate the next frame index on the directed edge."""
-        es = self._edge(sender, receiver)
-        f = es.frame
-        es.frame = f + 1
-        return f
-
-    def _ge_state_at(self, es: _EdgeStreams, t: int, model: GilbertElliottLink) -> bool:
-        """Chain state (True = bad) after ``t`` steps, advancing the
-        edge's checkpoint.  Step 0 is the stationary draw; step ``i``
-        reads state-stream counter ``i``.  Callers only move forward in
-        time (frames and attempts are monotone per edge)."""
-        if es.ge_t < 0:
-            es.ge_state = uniform_at(es.k_state, 0) < model.steady_state_bad()
-            es.ge_t = 0
-        state = es.ge_state
-        tt = es.ge_t
-        while tt < t:
-            tt += 1
-            u = uniform_at(es.k_state, tt)
-            if state:
-                state = not (u < model.p_exit_bad)
-            else:
-                state = u < model.p_enter_bad
-        es.ge_state = state
-        es.ge_t = tt
-        return state
-
-    def link_ok(self, sender: int, receiver: int, frame: int, attempt: int) -> bool:
-        """Did attempt ``attempt`` (1-based) of ``frame`` survive the air?"""
-        model = self.plan.link
-        if model is None:
-            return True
-        es = self._edge(sender, receiver)
-        a = self.attempts_per_frame
-        t_del = frame * a + (attempt - 1)
-        if isinstance(model, GilbertElliottLink):
-            bad = self._ge_state_at(es, frame * a + attempt, model)
-            p = model.deliver_bad if bad else model.deliver_good
-        else:
-            p = model.delivery_probability
-        return uniform_at(es.k_deliver, t_del) < p
-
-    def corrupt_at(self, sender: int, receiver: int, frame: int, attempt: int) -> bool:
-        """Does this (frame, attempt) arrive bit-damaged?"""
-        if self.plan.corruption <= 0.0:
-            return False
-        es = self._edge(sender, receiver)
-        t = frame * self.attempts_per_frame + (attempt - 1)
-        return uniform_at(es.k_corrupt, t) < self.plan.corruption
-
-    def dup_at(self, sender: int, receiver: int, frame: int) -> bool:
-        """Does this delivered frame arrive twice?"""
-        if self.plan.duplication <= 0.0:
-            return False
-        es = self._edge(sender, receiver)
-        return uniform_at(es.k_dup, frame) < self.plan.duplication
-
-    # -- batched draws --------------------------------------------------
-
     def frame_draws_batch(
         self, edges: Sequence[Tuple[int, int]], counts: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -475,9 +416,9 @@ class FaultEngine:
         ``A = attempts_per_frame``) and ``dup`` is ``(F,)``; frames are
         laid out edge-major in the given edge order, ascending frame
         index within an edge.  Advances every edge's frame cursor and
-        burst-chain checkpoint exactly as ``counts[i]`` scalar frames
-        would -- the returned booleans are bit-identical to the scalar
-        :meth:`link_ok` / :meth:`corrupt_at` / :meth:`dup_at` answers.
+        burst-chain checkpoint exactly as ``counts[i]`` frames drawn one
+        at a time would -- the returned booleans are bit-identical to
+        drawing each (frame, attempt) on its own.
         """
         streams = [self._edge(u, v) for (u, v) in edges]
         return _frame_draws(self.plan, self.attempts_per_frame, streams, counts)

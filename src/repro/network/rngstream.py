@@ -7,8 +7,8 @@ arrays consumes draws in a different order).  This module replaces the
 sequential streams with *counter-based* ones: the ``i``-th variate of a
 stream is a pure function ``uniform(key, i)`` of the stream key and the
 counter, so any subset of a stream can be evaluated in any order -- or
-all at once as a numpy array -- and the scalar and batched transports
-read byte-identical randomness.
+all at once as a numpy array -- and the level-batched transport reads
+byte-identical randomness to a frame-by-frame walk (its test oracle).
 
 The generator is the SplitMix64 finalizer over a Weyl sequence
 (``mix64(key + (i + 1) * PHI)``), the standard stateless construction

@@ -71,41 +71,6 @@ class RoutingTree:
     def reachable_count(self) -> int:
         return int(np.count_nonzero(self.level >= 0))
 
-    def path_to_sink(self, node: int) -> List[int]:
-        """Node indices from ``node`` (inclusive) to the sink (inclusive).
-
-        Raises:
-            ValueError: when the node has no route.
-        """
-        if self.level[node] < 0:
-            raise ValueError(f"node {node} is unreachable")
-        parent = self.parent
-        path = [node]
-        cur = node
-        while cur != self.sink:
-            cur = int(parent[cur])
-            assert cur >= 0, "reachable non-sink node must have a parent"
-            path.append(cur)
-        return path
-
-    def hops_to_sink(self, node: int) -> int:
-        lvl = int(self.level[node])
-        if lvl < 0:
-            raise ValueError(f"node {node} is unreachable")
-        return lvl
-
-    def subtree_order_bottom_up(self) -> List[int]:
-        """Reachable nodes ordered so children precede their parents.
-
-        Deepest level first, ascending id within a level.  In-network
-        aggregation and filtering walk reports up the tree; this order
-        lets a single pass simulate the per-epoch, level-by-level
-        forwarding schedule of TAG.
-        """
-        return np.concatenate(
-            [self.members_at(l) for l in range(self.depth, -1, -1)]
-        ).tolist()
-
 
 def build_routing_tree(
     positions: Union[np.ndarray, Sequence[Vec]],

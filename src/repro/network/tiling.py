@@ -123,7 +123,7 @@ def reduce_attempt_draws(
 ) -> AttemptResolution:
     """Collapse ``(F, A)`` attempt draws into per-frame ARQ outcomes.
 
-    Mirrors the attempt loop of :meth:`EpochTransport.send` exactly: an
+    The same outcomes as a per-frame ARQ loop over the same draws: an
     attempt resolves the frame when it survives the air and -- under a
     CRC -- arrives undamaged (damaged ones are rejected and retried);
     without a CRC any on-air arrival ends the loop.

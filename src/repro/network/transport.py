@@ -1,10 +1,11 @@
 """Fault-tolerant collection transport shared by Iso-Map and every baseline.
 
 One :class:`EpochTransport` instance drives one collection epoch: it
-walks the routing tree bottom-up (the TAG slot schedule), fires the
-:class:`~repro.network.faults.FaultPlan`'s scheduled events at the level
-boundaries, and carries each protocol's frames hop by hop with the
-defenses a real deployment would run:
+takes the routing tree one level at a time, deepest first (the TAG slot
+schedule), fires the :class:`~repro.network.faults.FaultPlan`'s
+scheduled events at the level boundaries, and carries each level's
+frames to their parents as one batch with the defenses a real
+deployment would run:
 
 - **ARQ** with capped exponential backoff: a frame lost or CRC-rejected
   on air is retransmitted up to ``max_retries`` times; every attempt
@@ -36,6 +37,14 @@ the golden snapshot is byte-identical under a zero-fault plan.  The
 transport charges only work that would not happen on a perfect link:
 retransmissions, duplicate frames, backoff windows and repair messages.
 
+There is one collection driver, :meth:`EpochTransport.run_collection`.
+With no fault engine every frame lands on its first attempt and no
+draws are made; under a plan each level's draws are resolved as arrays.
+(:func:`forward_reports_to_sink` prices a zero-fault epoch in closed
+form instead.)  The per-frame oracle of both (a walk that sends one
+frame and one attempt at a time) lives test-side, in
+``tests/network/transport_reference.py``.
+
 Accounting is per frame *instance*: ``generated`` report instances plus
 ``duplicates_created`` copies each end in exactly one terminal bucket
 (``delivered``, ``dropped_by_filter``, ``lost``, ``corrupted_discarded``
@@ -45,18 +54,8 @@ or ``duplicate_discarded``), which is the conservation law
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +75,7 @@ from repro.network.tiling import (
 _LOST = "lost"
 _CORRUPTED = "corrupted_discarded"
 
-#: Strand reasons reported by :meth:`EpochTransport.walk`.
+#: Why a node's buffered instances were stranded (:meth:`EpochTransport.strand`).
 STRAND_CRASHED = "crashed"
 STRAND_ORPHANED = "orphaned"
 
@@ -102,10 +101,6 @@ class TransportConfig:
         reparent: nodes whose parent crashed locally re-attach to an
             alive neighbour at level <= their own (repair traffic is
             charged) instead of stranding their buffered reports.
-        batched: resolve each tree level's frames as arrays in
-            :meth:`EpochTransport.run_collection` (bit-identical to the
-            scalar walk by construction; turn off to run the retained
-            per-frame reference path).
     """
 
     arq: bool = True
@@ -115,7 +110,6 @@ class TransportConfig:
     crc: bool = True
     dedup: bool = True
     reparent: bool = True
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -245,39 +239,6 @@ class DegradationReport:
         }
 
 
-@dataclass(frozen=True)
-class Hop:
-    """One transmission opportunity yielded by :meth:`EpochTransport.walk`.
-
-    ``parent`` is None when the node cannot transmit this epoch; then
-    ``reason`` says why (:data:`STRAND_CRASHED` or
-    :data:`STRAND_ORPHANED`) and the caller must
-    :meth:`~EpochTransport.strand` the node's buffered instances.
-    """
-
-    node: int
-    parent: Optional[int]
-    reason: Optional[str] = None
-
-
-@dataclass
-class SendOutcome:
-    """Result of one :meth:`EpochTransport.send`.
-
-    Attributes:
-        delivered: did (at least one copy of) the frame reach the
-            receiver?
-        arrivals: ``(payload, is_duplicate)`` per frame instance the
-            receiver accepted -- empty on failure, one entry normally,
-            two when a duplicate slipped past dedup.  A duplicate's
-            payload is the *same object*; callers that mutate payloads
-            (region aggregation) must clone it.
-    """
-
-    delivered: bool
-    arrivals: List[Tuple[Any, bool]]
-
-
 @dataclass
 class OutFrame:
     """One frame a protocol hands to :meth:`EpochTransport.run_collection`.
@@ -295,14 +256,17 @@ class OutFrame:
 
 
 #: ``frames_for(node)``: pop and return the node's outbox at its slot.
-#: Called exactly once per routed non-sink node, in walk order; for a
+#: Called exactly once per routed non-sink node, deepest level first and
+#: in ascending id within a level (so children before parents); for a
 #: stranded node the returned frames are bucketed as lost by the driver.
 FramesFor = Callable[[int], Sequence[OutFrame]]
 
 #: ``on_arrival(sender, receiver, frame, payload, is_duplicate)``: one
 #: accepted frame instance at the receiver (which may be the sink --
 #: aggregating protocols absorb there too, so the driver never
-#: special-cases it).  Payload is the frame's, possibly mangled.
+#: special-cases it).  Payload is the frame's, possibly mangled; a
+#: duplicate's payload is the *same object*, so callers that mutate
+#: payloads (region aggregation) must clone it.
 OnArrival = Callable[[int, int, OutFrame, Any, bool], None]
 
 
@@ -315,17 +279,18 @@ class EpochTransport:
         costs: the run's accountant; all transport work is charged here.
         config: defense knobs; defaults to :meth:`TransportConfig.hardened`.
         plan: the fault plan, the one source of link loss, crashes,
-            corruption and duplication; None or a null plan selects the
-            exact fast path of the pre-transport code (byte-identical
-            charges).
+            corruption and duplication.  None or a null plan builds no
+            fault engine: every routed node forwards to its tree parent
+            and every frame lands on its first attempt, which charges
+            exactly the bytes of a perfect link layer.
         mangler: optional receiver-side decoder for corrupted frames
             accepted without a CRC (protocols with a real codec pass
             one; without it such frames are discarded as unparseable).
         tiling: optional :class:`~repro.network.tiling.TilePartition`;
-            with a fault engine on the batched path, each level batch's
-            draws resolve per sender-tile (memory bounded by the
-            largest tile's frames) and merge at a deterministic barrier
-            -- bit-identical to the untiled batch at any tile layout.
+            with a fault engine, each level batch's draws resolve per
+            sender-tile (memory bounded by the largest tile's frames)
+            and merge at a deterministic barrier -- bit-identical to the
+            untiled batch at any tile layout.
         tile_jobs: worker processes for per-tile resolution (1 =
             resolve tiles inline; >1 ships tile jobs to a process pool
             and applies results in sorted-tile order, same bytes).
@@ -348,20 +313,26 @@ class EpochTransport:
         self.tiling = tiling
         self.tile_jobs = max(1, int(tile_jobs))
         self._tile_pool = None
+        max_attempts = self._max_attempts()
         if plan is not None and not plan.is_null:
             self.engine: Optional[FaultEngine] = FaultEngine(plan, network)
             # Fix every frame's draw budget up front: counter-based
             # streams address (frame, attempt) slots, so the budget must
             # be known before the first draw and stay constant.
-            self.engine.attempts_per_frame = self._max_attempts()
+            self.engine.attempts_per_frame = max_attempts
         else:
             self.engine = None
+        # ``_backoff_ops[k]``: backoff ops charged over attempts 2..k.
+        self._backoff_ops = np.zeros(max_attempts + 1, dtype=np.int64)
+        for a in range(2, max_attempts + 1):
+            self._backoff_ops[a] = self._backoff_ops[a - 1] + min(
+                self.config.backoff_base << (a - 2), self.config.backoff_cap
+            )
         self._report = DegradationReport()
         self._open = 0  # instances registered/injected but not yet bucketed
         self._next_rid = 0
         self._group_of: Dict[int, Any] = {}
         self._delivered_rids: set = set()
-        self._processed: set = set()  # nodes whose slot already passed
 
     # ------------------------------------------------------------------
     # Report registration and terminal buckets
@@ -419,64 +390,100 @@ class EpochTransport:
         self._open -= n
 
     # ------------------------------------------------------------------
-    # The slotted bottom-up walk
+    # The collection driver
     # ------------------------------------------------------------------
 
     def _max_attempts(self) -> int:
         return (self.config.max_retries + 1) if self.config.arq else 1
 
-    def walk(self) -> Iterator[Hop]:
-        """Yield one :class:`Hop` per routed non-sink node, children first.
+    def run_collection(
+        self,
+        frames_for: FramesFor,
+        on_arrival: OnArrival,
+        ops_per_frame: int = 0,
+    ) -> None:
+        """Drive one whole collection epoch through protocol callbacks.
 
-        The fault-free path reproduces the classic
-        ``subtree_order_bottom_up`` loop exactly.  Under a plan, node
-        events fire at each level boundary, crashed holders yield a
-        strand, and dead parents are locally repaired when the config
-        allows.
+        Every protocol's collection loop is the same shape -- pop the
+        node's outbox at its slot, send each frame to the parent, hand
+        accepted frames to the receiver -- so the loop lives here once
+        and the protocol supplies ``frames_for`` / ``on_arrival``.
 
-        This is the scalar reference order (the differential-test
-        anchor); :meth:`run_collection`'s batched mode takes the same
-        hops level-wise.
+        Per level (deepest first): fire the slot's fault events, decide
+        each member's fate (crashed members strand, orphans locally
+        re-parent), then send every live member's frames as one batch
+        (:meth:`_send_level_batch`).  With no fault engine every routed
+        member and its parent count as alive -- including a node whose
+        ``alive`` flag was cleared without a tree rebuild -- and every
+        frame lands on its first attempt.
+
+        A member that adopts a *same-level* neighbour forces a batch cut
+        at the adopted parent, so the adopted frames are dispatched into
+        its outbox before its own ``frames_for`` runs: a same-level
+        neighbour is adoptable iff its id is greater, i.e. iff its slot
+        has not passed in the ascending-id order.
+
+        ``ops_per_frame`` is charged at the sender for every frame
+        handed over with a live parent (the store-and-forward bookkeeping
+        some protocols charge per transmitted frame).
         """
+        engine = self.engine
         tree = self.network.tree
-        order = tree.subtree_order_bottom_up()
-        parents = tree.parent[order].tolist()
-        if self.engine is None:
-            for u, parent in zip(order, parents):
-                if u == tree.sink or parent < 0:
+        cfg = self.config
+        for lvl in range(tree.depth, 0, -1):
+            members = tree.members_at(lvl)
+            if members.size == 0:
+                continue
+            parents = tree.parent[members]
+            routed = parents >= 0
+            new_parent: Dict[int, int] = {}
+            cuts: set = set()
+            if engine is None:
+                m_alive = p_alive = routed
+            else:
+                engine.advance_to_slot(lvl)
+                with profiling.stage("transport.batch.decide"):
+                    alive = engine.alive_array()
+                    m_alive = alive[members]
+                    p_alive = m_alive & routed & alive[np.where(routed, parents, 0)]
+                    if cfg.reparent:
+                        orphaned = m_alive & routed & ~p_alive
+                        for u in members[orphaned].tolist():
+                            w = self._reparent_with(u, lambda x, _u=u: x > _u)
+                            if w is not None:
+                                new_parent[u] = w
+                                if tree.level[w] == lvl:
+                                    cuts.add(w)
+            batch: List[Tuple[int, int, Sequence[OutFrame]]] = []
+            members_list = members.tolist()
+            m_alive_list = m_alive.tolist()
+            p_alive_list = p_alive.tolist()
+            parents_list = parents.tolist()
+            for i, u in enumerate(members_list):
+                if u in cuts and batch:
+                    self._send_level_batch(batch, on_arrival, ops_per_frame)
+                    batch = []
+                if parents_list[i] < 0:
+                    continue  # unrouted safety guard
+                if not m_alive_list[i]:
+                    for fr in frames_for(u):
+                        self.strand(fr.rids, STRAND_CRASHED)
                     continue
-                yield Hop(u, parent)
-            return
-
-        current_level: Optional[int] = None
-        for u, level, parent in zip(order, tree.level[order].tolist(), parents):
-            if current_level is None or level < current_level:
-                self.engine.advance_to_slot(level)
-                current_level = level
-            if u == tree.sink or parent < 0:
-                continue
-            if not self.engine.alive(u):
-                self._processed.add(u)
-                yield Hop(u, None, STRAND_CRASHED)
-                continue
-            if not self.engine.alive(parent):
-                parent = self._reparent(u) if self.config.reparent else None
-            if parent is None:
-                self._processed.add(u)
-                yield Hop(u, None, STRAND_ORPHANED)
-                continue
-            yield Hop(u, parent)
-            self._processed.add(u)
-        self.engine.finish_epoch()
-
-    def _reparent(self, u: int) -> Optional[int]:
-        """Locally re-attach ``u`` after its parent crashed (scalar walk).
-
-        A same-level neighbour is adoptable while its own slot has not
-        passed, which in the scalar walk means it is not yet in
-        ``_processed``.
-        """
-        return self._reparent_with(u, lambda w: w not in self._processed)
+                if p_alive_list[i]:
+                    p = parents_list[i]
+                else:
+                    p = new_parent.get(u)
+                    if p is None:
+                        for fr in frames_for(u):
+                            self.strand(fr.rids, STRAND_ORPHANED)
+                        continue
+                frames = frames_for(u)
+                if frames:
+                    batch.append((u, p, frames))
+            if batch:
+                self._send_level_batch(batch, on_arrival, ops_per_frame)
+        if engine is not None:
+            engine.finish_epoch()
 
     def _reparent_with(
         self, u: int, slot_pending: Callable[[int], bool]
@@ -487,7 +494,7 @@ class EpochTransport:
         with its tree level; ``u`` adopts the best neighbour at a level
         below its own, or at its own level if that neighbour's slot has
         not passed yet (so the adopted reports still get forwarded this
-        epoch) -- ``slot_pending`` answers that for the caller's walk
+        epoch) -- ``slot_pending`` answers that for the caller's slot
         order.  Tie-break: (level, distance to sink, id).  All repair
         traffic is charged.  Returns the new parent or None.
         """
@@ -531,213 +538,6 @@ class EpochTransport:
         self._report.repaired_orphans += 1
         return best
 
-    # ------------------------------------------------------------------
-    # Frame transmission
-    # ------------------------------------------------------------------
-
-    def send(
-        self,
-        sender: int,
-        receiver: int,
-        nbytes: int,
-        rids: Sequence[int] = (),
-        payload: Any = None,
-    ) -> SendOutcome:
-        """Carry one frame of ``nbytes`` over one hop.
-
-        ``rids`` are the tracked report instances riding the frame (one
-        for a plain report, many for an aggregate); on terminal failure
-        they are bucketed here, so the caller only handles arrivals.
-        """
-        if self.engine is None:
-            self.costs.charge_hop(sender, receiver, nbytes)
-            return SendOutcome(True, [(payload, False)])
-
-        cfg = self.config
-        engine = self.engine
-        max_attempts = self._max_attempts()
-        frame = engine.next_frame(sender, receiver)
-        last_was_corruption = False
-        for attempt in range(1, max_attempts + 1):
-            if attempt >= 2:
-                self._report.retransmissions += 1
-                self.costs.charge_ops(
-                    sender,
-                    min(cfg.backoff_base << (attempt - 2), cfg.backoff_cap),
-                )
-            self.costs.charge_hop(sender, receiver, nbytes)
-            if not engine.link_ok(sender, receiver, frame, attempt):
-                last_was_corruption = False
-                continue
-            if engine.corrupt_at(sender, receiver, frame, attempt):
-                if cfg.crc:
-                    # Receiver CRC-rejects; under ARQ the sender retries.
-                    self._report.corrupted_detected += 1
-                    last_was_corruption = True
-                    continue
-                accepted = (
-                    self.mangler(payload, engine) if self.mangler else None
-                )
-                if accepted is None:
-                    # No codec can make sense of the damage: discarded.
-                    self._terminal(rids, _CORRUPTED)
-                    return SendOutcome(False, [])
-                self._report.corrupted_accepted += 1
-            else:
-                accepted = payload
-            arrivals: List[Tuple[Any, bool]] = [(accepted, False)]
-            if rids and engine.dup_at(sender, receiver, frame):
-                # The duplicate frame still occupies both radios.
-                self.costs.charge_hop(sender, receiver, nbytes)
-                n = len(rids)
-                self._report.duplicates_created += n
-                self._open += n
-                if cfg.dedup:
-                    self._report.duplicate_discarded += n
-                    self._open -= n
-                else:
-                    arrivals.append((accepted, True))
-            return SendOutcome(True, arrivals)
-        self._terminal(rids, _CORRUPTED if last_was_corruption else _LOST)
-        return SendOutcome(False, [])
-
-    # ------------------------------------------------------------------
-    # The collection driver (scalar and slot-batched)
-    # ------------------------------------------------------------------
-
-    def run_collection(
-        self,
-        frames_for: FramesFor,
-        on_arrival: OnArrival,
-        ops_per_frame: int = 0,
-    ) -> None:
-        """Drive one whole collection epoch through protocol callbacks.
-
-        Every protocol's collection loop is the same shape -- pop the
-        node's outbox at its slot, send each frame to the parent, hand
-        accepted frames to the receiver -- so the loop lives here once
-        and the protocol supplies ``frames_for`` / ``on_arrival``.  That
-        is also what lets the transport choose *how* to run the epoch:
-
-        - the scalar reference path replays :meth:`walk` + :meth:`send`
-          frame by frame;
-        - with a fault engine and ``config.batched``, each tree level's
-          frames are resolved as arrays (one batch of counter-based
-          draws, one scatter-add per charge kind) -- bit-identical to
-          the scalar path because every random draw has an
-          order-independent address and every charge is an integer sum.
-
-        ``ops_per_frame`` is charged at the sender for every frame
-        handed over with a live parent (the store-and-forward bookkeeping
-        some protocols charge per transmitted frame).
-        """
-        if self.engine is not None and self.config.batched:
-            self._run_batched(frames_for, on_arrival, ops_per_frame)
-        else:
-            self._run_scalar(frames_for, on_arrival, ops_per_frame)
-
-    def _run_scalar(
-        self, frames_for: FramesFor, on_arrival: OnArrival, ops_per_frame: int
-    ) -> None:
-        """The per-frame reference loop."""
-        for hop in self.walk():
-            if hop.parent is None:
-                for fr in frames_for(hop.node):
-                    self.strand(fr.rids, hop.reason)
-                continue
-            for fr in frames_for(hop.node):
-                if ops_per_frame:
-                    self.costs.charge_ops(hop.node, ops_per_frame)
-                outcome = self.send(
-                    hop.node, hop.parent, fr.nbytes, rids=fr.rids, payload=fr.payload
-                )
-                for payload, is_dup in outcome.arrivals:
-                    on_arrival(hop.node, hop.parent, fr, payload, is_dup)
-
-    def _run_batched(
-        self, frames_for: FramesFor, on_arrival: OnArrival, ops_per_frame: int
-    ) -> None:
-        """Resolve the walk level by level with batched draws.
-
-        Per level (deepest first): fire the slot's fault events, decide
-        each member's fate (crashed members strand, orphans locally
-        re-parent), then send every live member's frames as one batch.
-        A member that adopts a *same-level* neighbour forces a batch cut
-        at the adopted parent, so the adopted frames are dispatched into
-        its outbox before its own ``frames_for`` runs -- preserving the
-        scalar walk's ascending-id semantics exactly (a same-level
-        neighbour is adoptable iff its id is greater, which is the
-        scalar ``not in _processed`` predicate at that point).
-        """
-        engine = self.engine
-        assert engine is not None
-        tree = self.network.tree
-        cfg = self.config
-        for lvl in range(tree.depth, 0, -1):
-            members = tree.members_at(lvl)
-            if members.size == 0:
-                continue
-            engine.advance_to_slot(lvl)
-            with profiling.stage("transport.batch.decide"):
-                alive = engine.alive_array()
-                m_alive = alive[members]
-                parents = tree.parent[members]
-                routed = parents >= 0
-                p_alive = m_alive & routed & alive[np.where(routed, parents, 0)]
-                new_parent: Dict[int, int] = {}
-                cuts: set = set()
-                if cfg.reparent:
-                    orphaned = m_alive & routed & ~p_alive
-                    for u in members[orphaned].tolist():
-                        w = self._reparent_with(u, lambda x, _u=u: x > _u)
-                        if w is not None:
-                            new_parent[u] = w
-                            if tree.level[w] == lvl:
-                                cuts.add(w)
-            batch: List[Tuple[int, int, Sequence[OutFrame]]] = []
-            members_list = members.tolist()
-            m_alive_list = m_alive.tolist()
-            p_alive_list = p_alive.tolist()
-            parents_list = parents.tolist()
-            for i, u in enumerate(members_list):
-                if u in cuts and batch:
-                    self._send_level_batch(batch, on_arrival, ops_per_frame)
-                    batch = []
-                if parents_list[i] < 0:
-                    continue  # unrouted safety guard, as in the scalar walk
-                if not m_alive_list[i]:
-                    for fr in frames_for(u):
-                        self.strand(fr.rids, STRAND_CRASHED)
-                    continue
-                if p_alive_list[i]:
-                    p = parents_list[i]
-                else:
-                    p = new_parent.get(u)
-                    if p is None:
-                        for fr in frames_for(u):
-                            self.strand(fr.rids, STRAND_ORPHANED)
-                        continue
-                frames = frames_for(u)
-                if frames:
-                    batch.append((u, p, frames))
-            if batch:
-                self._send_level_batch(batch, on_arrival, ops_per_frame)
-        engine.finish_epoch()
-
-    def _backoff_prefix(self, max_attempts: int) -> np.ndarray:
-        """``prefix[j]`` = backoff ops charged over attempts ``2..j``."""
-        cached = getattr(self, "_backoff_prefix_arr", None)
-        if cached is None or len(cached) != max_attempts + 1:
-            cfg = self.config
-            prefix = np.zeros(max_attempts + 1, dtype=np.int64)
-            for a in range(2, max_attempts + 1):
-                prefix[a] = prefix[a - 1] + min(
-                    cfg.backoff_base << (a - 2), cfg.backoff_cap
-                )
-            self._backoff_prefix_arr = prefix
-            cached = prefix
-        return cached
-
     def _send_level_batch(
         self,
         batch: List[Tuple[int, int, Sequence[OutFrame]]],
@@ -746,13 +546,14 @@ class EpochTransport:
     ) -> None:
         """Resolve one batch of frames (contiguous per sender) as arrays.
 
-        Mirrors :meth:`send` exactly: the ARQ loop becomes a first-hit
-        search over the precomputed attempt outcomes, the per-attempt
-        charges become closed-form sums, and only the rare receiver-side
-        branches (mangled acceptance, terminal bucketing of mangler
-        discards) drop back to per-frame Python -- in ascending frame
-        order, which keeps the Mersenne damage stream aligned with the
-        scalar walk.
+        Each frame's ARQ loop becomes a first-hit search over its
+        precomputed attempt outcomes, the per-attempt charges become
+        closed-form sums, and only the rare receiver-side branches
+        (mangled acceptance, terminal bucketing of mangler discards)
+        drop back to per-frame Python -- in ascending frame order, which
+        keeps the Mersenne damage stream in the order a frame-by-frame
+        sender would consume it.  With no fault engine there is nothing
+        to draw: every frame lands on its first attempt.
         """
         engine = self.engine
         cfg = self.config
@@ -785,7 +586,16 @@ class EpochTransport:
                 (len(fr.rids) for fr in flat_frames), np.int64, count=total
             )
 
-            if self.tiling is None:
+            if engine is None:
+                res = AttemptResolution(
+                    delivered=np.ones(total, dtype=bool),
+                    attempts_used=np.ones(total, dtype=np.int64),
+                    corr_res=np.zeros(total, dtype=bool),
+                    corr_fail=np.zeros(total, dtype=bool),
+                    corrupted_detected=0,
+                )
+                dup = np.zeros(total, dtype=bool)
+            elif self.tiling is None:
                 air_ok, corr, dup = engine.frame_draws_batch(edges, counts)
                 res = reduce_attempt_draws(air_ok, corr, cfg.crc, max_attempts)
             else:
@@ -841,7 +651,7 @@ class EpochTransport:
             total_bytes = attempts_used * nbytes + np.where(dup_apply, nbytes, 0)
             self.costs.charge_tx_batch(senders, total_bytes)
             self.costs.charge_rx_batch(receivers, total_bytes)
-            ops_amounts = self._backoff_prefix(max_attempts)[attempts_used]
+            ops_amounts = self._backoff_ops[attempts_used]
             if ops_per_frame:
                 ops_amounts = ops_amounts + ops_per_frame
             self.costs.charge_ops_batch(senders, ops_amounts)
@@ -1008,8 +818,8 @@ class EpochTransport:
         one mask over the CSR adjacency
         (:meth:`~repro.network.topology.CsrAdjacency.flood`, one gather
         per hop ring), so the whole count costs one pass over the alive
-        graph.  Differential-tested against
-        :meth:`_count_disconnected_reference`, the retained full scan.
+        graph.  Differential-tested against a per-node sweep
+        (``tests/network/transport_reference.py``).
         """
         net = self.network
         alive = net.alive if self.engine is None else self.engine.alive_array()
@@ -1021,34 +831,6 @@ class EpochTransport:
             if not seen[start]:
                 regions += 1
                 net.csr.flood(start, alive, seen)
-        return regions
-
-    def _count_disconnected_reference(self) -> int:
-        """The scalar full-graph sweep (differential-test reference)."""
-        n = self.network.n_nodes
-        csr = self.network.csr
-        alive = [
-            bool(self.network.alive[i])
-            and (self.engine is None or self.engine.alive(i))
-            for i in range(n)
-        ]
-        seen = [False] * n
-        regions = 0
-        for start in range(n):
-            if not alive[start] or seen[start]:
-                continue
-            seen[start] = True
-            queue = deque([start])
-            contains_sink = start == self.network.sink_index
-            while queue:
-                x = queue.popleft()
-                for y in csr.neighbors(x).tolist():
-                    if alive[y] and not seen[y]:
-                        seen[y] = True
-                        contains_sink = contains_sink or y == self.network.sink_index
-                        queue.append(y)
-            if not contains_sink:
-                regions += 1
         return regions
 
 
@@ -1089,7 +871,7 @@ def forward_reports_to_sink(
 
     Charges tx/rx on every hop and ``ops_per_forward`` at every relay (the
     minimal store-and-forward bookkeeping that makes TinyDB the paper's
-    per-node computation lower bound).  The walk is the TAG bottom-up
+    per-node computation lower bound).  Frames move on the TAG bottom-up
     schedule, which charges exactly what the per-source path walk charged
     under a perfect link layer; under a fault plan the transport's
     ARQ/CRC/dedup/re-parenting defenses apply.  Returns the indices into
@@ -1111,12 +893,11 @@ def forward_reports_to_sink(
             continue
         pending.append((i, rid))
 
-    if transport.engine is None and transport.config.batched:
+    if transport.engine is None:
         # Perfect links and no faults: every frame travels its full
         # path, so the per-hop charges collapse to subtree sums -- no
-        # per-frame Python at all (what makes n=40k feasible).
-        # ``batched=False`` keeps the per-frame loop reachable for the
-        # differential tests.
+        # per-frame Python at all (what makes n=40k feasible, and much
+        # cheaper than the level driver at any size).
         if pending:
             _zero_fault_closed_form(
                 network, [frames[i] for i, _ in pending], costs, ops_per_forward
@@ -1161,8 +942,9 @@ def _zero_fault_closed_form(
     On perfect links every frame crosses each edge of its path to the
     sink exactly once, so node ``u`` sends the frames of its subtree: their
     count and byte total are computed bottom-up with one scatter-add per
-    level.  Charges are the identical integer sums the per-frame walk
-    accumulates (pinned by a differential test).
+    level.  Charges are the identical integer sums a frame-by-frame walk
+    accumulates (pinned by a differential test against the per-frame
+    oracle).
     """
     tree = network.tree
     n = network.n_nodes

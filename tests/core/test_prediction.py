@@ -8,9 +8,9 @@ Three layers:
 2. **Bank behaviour** -- LMS convergence on constant drift, the
    heartbeat staleness bound, coverage-lease ghost retraction, ghost
    eviction, adoption re-keying, and the velocity clamp.
-3. **Mode equivalence** -- a ``batched=True`` bank and a
-   ``batched=False`` bank fed the same epoch stream make identical
-   decisions and hold identical state.
+3. **Bank equivalence** -- a bank on the ``*_batch`` kernels and a bank
+   with the ``*_reference`` twins patched in, fed the same epoch stream,
+   make identical decisions and hold identical state.
 """
 
 import math
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import prediction
 from repro.core.prediction import (
     PredictionConfig,
     PredictorBank,
@@ -360,46 +361,53 @@ def _epoch_stream(rng, epochs=10, n_sources=30):
     return stream
 
 
-def test_batched_and_reference_banks_agree():
-    stream = _epoch_stream(None)
-    banks = {
-        mode: PredictorBank(
-            PredictionConfig(position_tolerance=1.0, batched=mode)
-        )
-        for mode in (True, False)
-    }
-    members = {True: {}, False: {}}
+def _replay(stream):
+    """Feed ``stream`` to a fresh bank; per epoch, its decisions and the
+    full state of every track."""
+    bank = PredictorBank(PredictionConfig(position_tolerance=1.0))
+    members = {}
+    history = []
     for current in stream:
-        outs = {}
-        for mode, bank in banks.items():
-            bank.advance()
-            to_send, predicted, hb = bank.decide(current)
-            leaving = [
-                (s, pos)
-                for s, pos in members[mode].items()
-                if s not in current
-            ]
-            retractions = bank.decide_retractions(leaving, current)
-            members[mode] = {s: r.position for s, r in current.items()}
-            bank.apply(to_send, retractions)
-            outs[mode] = (
-                [r.source for r in to_send],
-                predicted,
-                hb,
-                sorted(retractions),
-            )
-        assert outs[True] == outs[False]
-        tb, tr = banks[True].tracks, banks[False].tracks
-        assert sorted(tb) == sorted(tr)
-        for k in tb:
-            assert (tb[k].x, tb[k].y, tb[k].theta) == (
-                tr[k].x,
-                tr[k].y,
-                tr[k].theta,
-            )
-            assert (tb[k].vx, tb[k].vy, tb[k].omega) == (
-                tr[k].vx,
-                tr[k].vy,
-                tr[k].omega,
-            )
-            assert tb[k].age == tr[k].age
+        bank.advance()
+        to_send, predicted, hb = bank.decide(current)
+        leaving = [(s, pos) for s, pos in members.items() if s not in current]
+        retractions = bank.decide_retractions(leaving, current)
+        members = {s: r.position for s, r in current.items()}
+        bank.apply(to_send, retractions)
+        tracks = {
+            k: (t.x, t.y, t.theta, t.vx, t.vy, t.omega, t.age)
+            for k, t in sorted(bank.tracks.items())
+        }
+        history.append(
+            ([r.source for r in to_send], predicted, hb, sorted(retractions), tracks)
+        )
+    return history
+
+
+def test_batched_and_reference_banks_agree(monkeypatch):
+    stream = _epoch_stream(None)
+    batched = _replay(stream)
+    calls = []
+
+    def as_batch(reference):
+        """A ``*_batch``-shaped kernel running ``reference`` on lists."""
+
+        def kernel(*args):
+            calls.append(reference.__name__)
+            plain = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
+            return tuple(np.asarray(out) for out in reference(*plain))
+
+        return kernel
+
+    for name, reference in (
+        ("advance_tracks_batch", advance_tracks_reference),
+        ("track_accept_batch", track_accept_reference),
+        ("join_accept_batch", join_accept_reference),
+    ):
+        monkeypatch.setattr(prediction, name, as_batch(reference))
+    assert _replay(stream) == batched
+    assert set(calls) == {
+        "advance_tracks_reference",
+        "track_accept_reference",
+        "join_accept_reference",
+    }

@@ -1,5 +1,6 @@
 """Unit tests for the seeded fault-injection engine."""
 
+import numpy as np
 import pytest
 
 from repro.field import RadialField
@@ -25,10 +26,10 @@ def dense_net(n=400, seed=0):
 
 def link_draws(engine, sender, receiver, frames):
     """First-attempt outcomes of ``frames`` fresh frames on one link."""
-    return [
-        engine.link_ok(sender, receiver, engine.next_frame(sender, receiver), 1)
-        for _ in range(frames)
-    ]
+    air_ok, _, _ = engine.frame_draws_batch(
+        [(sender, receiver)], np.array([frames])
+    )
+    return air_ok[:, 0].tolist()
 
 
 class TestFaultPlan:

@@ -53,7 +53,7 @@ class TestLossyLinkModel:
         transport, costs = lossy_transport(net, 0.01, retries=2, seed=1)
         for _ in range(200):
             before = int(costs.tx_bytes[1])
-            transport.send(1, 0, NBYTES, rids=(transport.register(),))
+            delivered_from(net, transport, costs, 1, 1)
             assert NBYTES <= costs.tx_bytes[1] - before <= 3 * NBYTES
 
     def test_expected_attempts_matches_simulation(self):
@@ -82,14 +82,18 @@ class TestChargeLossyHop:
     def test_success_charges_attempts(self):
         net = chain_network(1)
         transport, costs = lossy_transport(net, 1.0, retries=3, seed=0)
-        assert transport.send(1, 0, 10, rids=(transport.register(),)).delivered
+        assert forward_reports_to_sink(
+            net, [(1, 10)], costs, transport=transport
+        ) == [0]
         assert costs.tx_bytes[1] == 10
         assert costs.rx_bytes[0] == 10
 
     def test_failure_charges_full_budget(self):
         net = chain_network(1)
         transport, costs = lossy_transport(net, 0.0, retries=2, seed=0)
-        assert not transport.send(1, 0, 10, rids=(transport.register(),)).delivered
+        assert forward_reports_to_sink(
+            net, [(1, 10)], costs, transport=transport
+        ) == []
         assert costs.tx_bytes[1] == 30  # 3 attempts x 10 bytes
         assert costs.rx_bytes[0] == 30
         assert transport.finalize().lost == 1

@@ -24,6 +24,7 @@ from repro.network.transport import (
     TransportConfig,
     forward_reports_to_sink,
 )
+from tests.network.transport_reference import forward_reports_reference
 
 N_TRIALS = 20_000
 NBYTES = 6
@@ -51,28 +52,27 @@ def chain_network(hops):
     return SensorNetwork(field, positions, radio_range=1.5, sink_index=0)
 
 
-def lossy_transport(net, p, retries, seed, batched=True):
+def lossy_transport(net, p, retries, seed):
     """A transport whose only fault is Bernoulli(p) loss per attempt."""
     costs = CostAccountant(net.n_nodes)
     transport = EpochTransport(
         net,
         costs,
-        config=TransportConfig(max_retries=retries, batched=batched),
+        config=TransportConfig(max_retries=retries),
         plan=FaultPlan(seed=seed, link=BernoulliLink(p)),
     )
     return transport, costs
 
 
 def simulate_hop(p, retries, seed, trials=N_TRIALS):
-    """``trials`` frames over one hop, one :meth:`EpochTransport.send`
-    each; returns (delivery rate, mean attempts per frame)."""
+    """``trials`` frames over one hop, each its own ARQ trial; returns
+    (delivery rate, mean attempts per frame)."""
     net = chain_network(1)
     transport, costs = lossy_transport(net, p, retries, seed)
-    delivered = sum(
-        transport.send(1, 0, NBYTES, rids=(transport.register(),)).delivered
-        for _ in range(trials)
+    arrived = forward_reports_to_sink(
+        net, [(1, NBYTES)] * trials, costs, ops_per_forward=0, transport=transport
     )
-    return delivered / trials, costs.tx_bytes[1] / NBYTES / trials
+    return len(arrived) / trials, costs.tx_bytes[1] / NBYTES / trials
 
 
 @pytest.mark.parametrize(
@@ -111,13 +111,13 @@ def test_multi_hop_end_to_end():
 
 def test_charges_follow_attempts_exactly():
     # Accounting identity, not statistics: tx at the sender and rx at the
-    # receiver must both equal NBYTES * attempts-on-air, on the per-frame
-    # walk and on the batched route alike.
+    # receiver must both equal NBYTES * attempts-on-air, on the level
+    # driver and on the oracle's per-frame walk alike.
     p, retries, frames = 0.5, 2, 500
     net = chain_network(1)
-    for batched in (False, True):
-        transport, costs = lossy_transport(net, p, retries, seed=7, batched=batched)
-        forward_reports_to_sink(
+    for forward in (forward_reports_reference, forward_reports_to_sink):
+        transport, costs = lossy_transport(net, p, retries, seed=7)
+        forward(
             net, [(1, NBYTES)] * frames, costs, ops_per_forward=0, transport=transport
         )
         report = transport.finalize()

@@ -12,6 +12,7 @@ from repro.core.detection import detect_isoline_nodes
 from repro.network import CostAccountant, FaultEngine, FaultPlan, SensorNetwork
 from repro.network.node import SensorNode
 from repro.network.transport import EpochTransport, disseminate_query
+from tests.network.transport_reference import count_disconnected_reference
 
 BOX = BoundingBox(0, 0, 20, 20)
 
@@ -284,7 +285,7 @@ class TestNodeViews:
         transport = EpochTransport(net, CostAccountant(net.n_nodes))
         regions = transport.finalize().disconnected_regions
         assert regions >= 1
-        assert regions == transport._count_disconnected_reference()
+        assert regions == count_disconnected_reference(transport)
 
     def test_writes_reach_dissemination(self):
         net = small_net(n=200, seed=2)

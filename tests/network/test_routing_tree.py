@@ -65,35 +65,6 @@ class TestBuildRoutingTree:
         with pytest.raises(ValueError):
             build_routing_tree(pts, adj, sink=7)
 
-    def test_path_to_sink(self):
-        pts, adj = line_network(6)
-        tree = build_routing_tree(pts, adj, sink=0)
-        assert tree.path_to_sink(4) == [4, 3, 2, 1, 0]
-        assert tree.path_to_sink(0) == [0]
-
-    def test_path_to_sink_unreachable_raises(self):
-        pts = [(0, 0), (5, 0)]
-        adj = build_csr_adjacency(pts, 1.0)
-        tree = build_routing_tree(pts, adj, sink=0)
-        with pytest.raises(ValueError):
-            tree.path_to_sink(1)
-
-    def test_hops_to_sink(self):
-        pts, adj = line_network(4)
-        tree = build_routing_tree(pts, adj, sink=0)
-        assert tree.hops_to_sink(3) == 3
-
-    def test_bottom_up_order(self):
-        rng = random.Random(10)
-        pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(60)]
-        adj = build_csr_adjacency(pts, 2.5)
-        tree = build_routing_tree(pts, adj, sink=0)
-        order = tree.subtree_order_bottom_up()
-        pos = {node: k for k, node in enumerate(order)}
-        for i, p in enumerate(tree.parent.tolist()):
-            if p >= 0:
-                assert pos[i] < pos[p], "children must precede parents"
-
     def test_level_histogram(self):
         pts, adj = line_network(5)
         tree = build_routing_tree(pts, adj, sink=2)
@@ -120,5 +91,3 @@ class TestBuildRoutingTree:
         assert (tree.level < 0).any()
         for lvl in range(tree.depth + 1):
             assert np.array_equal(tree.members_at(lvl), np.flatnonzero(tree.level == lvl))
-        expected = [i for l in range(tree.depth, -1, -1) for i in np.flatnonzero(tree.level == l)]
-        assert tree.subtree_order_bottom_up() == expected

@@ -38,7 +38,6 @@ def _assert_trees_equal(fast, ref):
     assert fast.sink == ref.sink
     assert np.array_equal(fast.level, ref.level)
     assert np.array_equal(fast.parent, ref.parent)
-    assert fast.subtree_order_bottom_up() == ref.subtree_order_bottom_up()
     # The arrays are int64 (-1 for none) and read-only.
     for tree in (fast, ref):
         assert tree.level.dtype == tree.parent.dtype == np.int64

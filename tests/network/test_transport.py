@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -21,6 +22,7 @@ from repro.network.faults import FaultEngine, FaultPlan
 from repro.network.transport import (
     DegradationReport,
     EpochTransport,
+    OutFrame,
     STRAND_CRASHED,
     TransportConfig,
 )
@@ -90,26 +92,53 @@ class TestDegradationReport:
 
 class TestZeroFaultPath:
     def test_walk_matches_legacy_order(self):
+        # The TAG slot order: frames_for runs once per routed non-sink
+        # node, deepest level first and ascending id within a level, so
+        # every child is asked before its parent; each node's frame lands
+        # at its tree parent.
         net = radial_net()
         transport = EpochTransport(net, CostAccountant(net.n_nodes))
-        hops = list(transport.walk())
+        calls, hops = [], []
+
+        def frames_for(u):
+            calls.append(u)
+            return [OutFrame(nbytes=1, rids=(), payload=u)]
+
+        def on_arrival(sender, receiver, frame, payload, is_dup):
+            hops.append((sender, receiver, payload, is_dup))
+
+        transport.run_collection(frames_for, on_arrival)
         tree = net.tree
-        expected = [
-            (u, int(tree.parent[u]))
-            for u in tree.subtree_order_bottom_up()
-            if u != tree.sink and tree.parent[u] >= 0
-        ]
-        assert [(h.node, h.parent) for h in hops] == expected
-        assert all(h.reason is None for h in hops)
+        level = tree.level.tolist()
+        expected = sorted(
+            (u for u in range(net.n_nodes) if level[u] > 0),
+            key=lambda u: (-level[u], u),
+        )
+        assert calls == expected
+        position = {u: k for k, u in enumerate(calls)}
+        for u in calls:
+            p = int(tree.parent[u])
+            assert p == tree.sink or position[u] < position[p]
+        assert hops == [(u, int(tree.parent[u]), u, False) for u in calls]
 
     def test_send_charges_exactly_one_hop(self):
         net = radial_net()
         costs = CostAccountant(net.n_nodes)
         transport = EpochTransport(net, costs)
+        u = int(np.flatnonzero(net.tree.level == 2)[0])
+        p = int(net.tree.parent[u])
         rid = transport.register()
-        outcome = transport.send(1, 2, 6, rids=(rid,), payload="r")
-        assert outcome.delivered and outcome.arrivals == [("r", False)]
-        assert costs.tx_bytes[1] == 6 and costs.rx_bytes[2] == 6
+        arrivals = []
+
+        def frames_for(node):
+            return [OutFrame(nbytes=6, rids=(rid,), payload="r")] if node == u else []
+
+        def on_arrival(sender, receiver, frame, payload, is_dup):
+            arrivals.append((sender, receiver, payload, is_dup))
+
+        transport.run_collection(frames_for, on_arrival)
+        assert arrivals == [(u, p, "r", False)]
+        assert costs.tx_bytes[u] == 6 and costs.rx_bytes[p] == 6
         assert costs.tx_bytes.sum() == 6 and costs.rx_bytes.sum() == 6
         assert costs.ops.sum() == 0
 

@@ -1,12 +1,16 @@
-"""Differential tests: slot-batched transport vs the retained scalar walk.
+"""Differential tests: the level driver vs the per-frame oracle.
 
-The batched driver (``TransportConfig.batched=True``, the default) must be
-*bit-identical* to the per-frame scalar reference (``batched=False``, which
-loops ``walk`` + ``send``) under the same seed: byte-identical
+``EpochTransport.run_collection`` resolves each tree level's frames as
+one batch.  It must be *bit-identical* to the per-frame oracle in
+``tests/network/transport_reference.py`` (a walk that sends one frame
+and draws one attempt at a time) under the same seed: byte-identical
 per-node tx/rx/ops accounting and an identical :class:`DegradationReport`,
 for every protocol, every defense-toggle combination and several fault
-intensities.  These tests pin that contract; they are what licenses every
-other test in the suite to run on the fast path.
+intensities, with no plan and with the null plan, and with relays whose
+``alive`` flag was cleared without a tree rebuild.  The zero-fault
+closed form of ``forward_reports_to_sink`` is held to the same oracle.
+These tests pin that contract; they are what licenses every other test
+in the suite to run on the level driver.
 """
 
 import dataclasses
@@ -38,6 +42,11 @@ from repro.network.transport import (
     EpochTransport,
     TransportConfig,
     forward_reports_to_sink,
+)
+from tests.network.transport_reference import (
+    count_disconnected_reference,
+    forward_reports_reference,
+    reference_transport,
 )
 
 BOX = BoundingBox(0, 0, 20, 20)
@@ -90,13 +99,26 @@ def _evidence(run):
     )
 
 
-def _run_protocol(name, plan, config, seed=1):
+def _network(name, seed=1, dead_relays=False):
+    """The deployment ``name`` runs on.  With ``dead_relays``, ``alive``
+    is cleared on every fourth routed relay (a node some other node
+    forwards through), without rebuilding the tree."""
+    grid = name in ("tinydb", "inlr", "suppression")
+    net = radial_grid_net(seed=seed) if grid else radial_net(seed=seed)
+    if dead_relays:
+        parent = net.tree.parent
+        relays = np.unique(parent[parent >= 0])
+        for u in relays[relays != net.sink_index][::4].tolist():
+            net.nodes[u].alive = False
+    return net
+
+
+def _run_protocol(name, plan, config, seed=1, dead_relays=False):
+    net = _network(name, seed, dead_relays)
     if name == "iso-map":
         return IsoMapProtocol(
             QUERY, FilterConfig(30, 4), fault_plan=plan, transport_config=config
-        ).run(radial_net(seed=seed))
-    net = radial_grid_net(seed=seed) if name in ("tinydb", "inlr", "suppression") \
-        else radial_net(seed=seed)
+        ).run(net)
     proto = {
         "isoline-agg": lambda: IsolineAggregationProtocol(
             QUERY, fault_plan=plan, transport_config=config
@@ -117,12 +139,14 @@ def _run_protocol(name, plan, config, seed=1):
     return proto.run(net)
 
 
-def _differential(name, plan, config):
-    fast = _run_protocol(name, plan, dataclasses.replace(config, batched=True))
-    ref = _run_protocol(name, plan, dataclasses.replace(config, batched=False))
-    assert _evidence(fast) == _evidence(ref), f"{name} diverged from the scalar walk"
+def _differential(name, plan, config, **kwargs):
+    fast = _run_protocol(name, plan, config, **kwargs)
+    with reference_transport():
+        ref = _run_protocol(name, plan, config, **kwargs)
+    assert _evidence(fast) == _evidence(ref), f"{name} diverged from the oracle"
     if fast.degradation is not None:
         assert fast.degradation.is_conserved
+    return fast
 
 
 class TestBatchedMatchesScalar:
@@ -147,30 +171,36 @@ class TestBatchedMatchesScalar:
         _differential("tinydb", plan, TransportConfig.hardened())
 
     def test_zero_fault_batched_identical(self):
-        # No engine at all: the batched flag must not change a single byte
-        # (this is what keeps the golden snapshots valid on the fast path).
-        _differential("iso-map", None, TransportConfig.hardened())
-        _differential("tinydb", None, TransportConfig.hardened())
+        # No engine at all: every frame lands on its first attempt, and
+        # the level driver (and, for TinyDB and suppression, the closed
+        # form) must charge exactly what the oracle's walk charges --
+        # this is what keeps the golden snapshots valid.
+        for name in PROTOCOLS:
+            for plan in (None, FaultPlan.none()):
+                _differential(name, plan, TransportConfig.hardened())
+
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_zero_fault_dead_relays_still_forward(self, name):
+        # With no engine, a routed relay whose ``alive`` flag was cleared
+        # without a tree rebuild still forwards, exactly as the walk
+        # treats it.
+        run = _differential(name, None, TransportConfig.hardened(), dead_relays=True)
+        dead = ~_network(name, dead_relays=True).alive
+        assert run.costs.tx_bytes[dead].sum() > 0
 
 
 def _forward_both_ways(make_frames, ops_per_forward=3):
-    """Forward the same frames through the zero-fault closed form
-    (batched) and the per-frame walk (``batched=False``); assert both
-    charge identical integers and return the fast run's evidence."""
+    """Forward the same frames through the zero-fault closed form, the
+    level driver and the oracle's per-frame walk; assert all three charge
+    identical integers and return the closed form's evidence."""
 
-    def run(batched):
+    def run(forward, **kwargs):
         net, frames = make_frames()
         costs = CostAccountant(net.n_nodes)
-        transport = EpochTransport(
-            net,
-            costs,
-            config=dataclasses.replace(
-                TransportConfig.hardened(), batched=batched
-            ),
-        )
-        delivered = forward_reports_to_sink(
+        transport = EpochTransport(net, costs)
+        delivered = forward(
             net, frames, costs,
-            ops_per_forward=ops_per_forward, transport=transport,
+            ops_per_forward=ops_per_forward, transport=transport, **kwargs,
         )
         deg = transport.finalize()
         return (
@@ -181,8 +211,11 @@ def _forward_both_ways(make_frames, ops_per_forward=3):
             dataclasses.asdict(deg),
         )
 
-    fast = run(True)
-    assert fast == run(False)
+    fast = run(forward_reports_to_sink)
+    assert fast == run(forward_reports_reference)
+    assert fast == run(
+        forward_reports_reference, collect=EpochTransport.run_collection
+    )
     return fast
 
 
@@ -209,8 +242,8 @@ def _delta_frames(net):
 class TestZeroFaultAnalytic:
     def test_analytic_forwarding_matches_per_frame_walk(self):
         # forward_reports_to_sink collapses the zero-fault epoch to
-        # closed-form subtree sums when batched; the per-frame walk
-        # (batched=False) must charge the identical integers.
+        # closed-form subtree sums; the oracle's per-frame walk and the
+        # level driver must charge the identical integers.
         def make():
             net = radial_grid_net(seed=2)
             return net, [(s, VALUE_REPORT_BYTES) for s in _sensing_sources(net)]
@@ -248,20 +281,18 @@ class TestZeroFaultAnalytic:
 class TestRepairTraffic:
     def test_reparenting_charges_identically_and_is_exercised(self):
         # Crash-heavy plan with recovery: orphans must be adopted, the
-        # probe/reply/join traffic charged, and the batched adoption
-        # (including same-level adopters) byte-identical to the scalar's.
+        # probe/reply/join traffic charged, and the level driver's
+        # adoption (including same-level adopters) byte-identical to the
+        # oracle's.
         plan = FaultPlan(seed=17, crash_ratio=0.25, recover_ratio=0.3)
         config = TransportConfig.hardened()
-        fast = _run_protocol("tinydb", plan, dataclasses.replace(config, batched=True))
-        ref = _run_protocol("tinydb", plan, dataclasses.replace(config, batched=False))
-        assert _evidence(fast) == _evidence(ref)
+        fast = _differential("tinydb", plan, config)
         assert fast.degradation.repaired_orphans > 0
         # Repair traffic is real charged traffic: the crash-only epoch
         # must cost strictly more than its reparent-disabled twin on the
         # surviving topology (probes, replies and joins are not free).
         off = _run_protocol(
-            "tinydb", plan,
-            dataclasses.replace(config, reparent=False, batched=True),
+            "tinydb", plan, dataclasses.replace(config, reparent=False)
         )
         assert fast.costs.tx_bytes.sum() > off.costs.tx_bytes.sum()
 
@@ -281,7 +312,7 @@ class TestDisconnectedCount:
                 node.alive = False
         transport = EpochTransport(net, CostAccountant(net.n_nodes))
         regions = transport._count_disconnected()
-        assert regions == transport._count_disconnected_reference()
+        assert regions == count_disconnected_reference(transport)
         if kill > 0.5:
             assert regions >= 3
 
@@ -289,7 +320,7 @@ class TestDisconnectedCount:
         net = radial_net(seed=1)
         transport = EpochTransport(net, CostAccountant(net.n_nodes))
         assert transport._count_disconnected() == 0
-        assert transport._count_disconnected_reference() == 0
+        assert count_disconnected_reference(transport) == 0
 
 
 class TestConservationProperty:
@@ -297,7 +328,7 @@ class TestConservationProperty:
     def test_is_conserved_under_randomized_combined_faults(self, case_seed):
         # Property: whatever combination of crash/recover, burst loss,
         # corruption and duplication an epoch throws at any protocol, the
-        # instance conservation law holds exactly on the batched path.
+        # instance conservation law holds exactly on the level driver.
         rng = random.Random(1000 + case_seed)
         link = rng.choice(
             [
