@@ -18,42 +18,25 @@ Both paths are asserted bit-identical on every epoch (an untimed
 verification pass replays the sequence and compares every vertex,
 label, neighbor list, loop and statistic) before anything is timed.
 
-Usage::
-
-    python benchmarks/bench_continuous.py             # full + quick, writes BENCH_continuous.json
-    python benchmarks/bench_continuous.py --quick     # CI smoke sizes only, no write
-    python benchmarks/bench_continuous.py --quick --check BENCH_continuous.json
-                                                      # fail if a workload regressed >2x
-
-``--check`` compares each measured speedup against the committed report
-(the ``quick`` section when ``--quick`` is given) and exits 1 if any
-workload runs at less than half its committed speedup.
+``quick_report()`` runs the CI sizes that ``benchmarks/gates.py`` gates
+(each workload at no less than half its committed speedup);
+``full_report()`` is what ``python benchmarks/record.py continuous``
+writes.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import pathlib
 import random
-import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-_HERE = pathlib.Path(__file__).resolve().parent
-_SRC = _HERE.parent / "src"
-if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-if str(_HERE) not in sys.path:
-    sys.path.insert(0, str(_HERE))
-
-import record
+import record  # puts src/ and the repo root on sys.path
 
 from repro.core.reconstruction import ReconstructionCache, build_level_region
 from repro.core.reports import IsolineReport
 from repro.geometry import BoundingBox
-
-BENCH_JSON = _HERE.parent / "BENCH_continuous.json"
+from tests.core.reconstruction_reference import assert_regions_identical
 
 BOX = BoundingBox(0.0, 0.0, 100.0, 100.0)
 LEVEL = 8.0
@@ -62,6 +45,9 @@ LEVEL = 8.0
 #: operating point is the node count; the sink stress case puts that
 #: many reports on one isoline.
 FULL_N = 2500
+
+#: CI smoke size.
+QUICK_N = 500
 
 
 # ----------------------------------------------------------------------
@@ -143,29 +129,12 @@ def local_storm_epochs(n: int, epochs: int, seed: int = 7) -> List[List[IsolineR
 # ----------------------------------------------------------------------
 
 
-def _assert_regions_equal(fast, ref) -> None:
-    assert fast.reports == ref.reports
-    assert len(fast.cells) == len(ref.cells)
-    for cf, cr in zip(fast.cells, ref.cells):
-        assert cf.site_index == cr.site_index
-        assert cf.site == cr.site
-        assert cf.polygon.vertices == cr.polygon.vertices
-        assert cf.polygon.labels == cr.polygon.labels
-        assert cf.neighbors == cr.neighbors
-    assert [p.vertices for p in fast.inner_polys] == [
-        p.vertices for p in ref.inner_polys
-    ]
-    assert fast.loops == ref.loops
-    assert fast.regulated_loops == ref.regulated_loops
-    assert fast.regulation_stats == ref.regulation_stats
-
-
 def verify_sequence(sequence: List[List[IsolineReport]]) -> None:
     """Replay a workload, asserting the splice is bit-identical to a
     from-scratch rebuild at every epoch."""
     cache = ReconstructionCache(LEVEL, BOX)
     for reports in sequence:
-        _assert_regions_equal(
+        assert_regions_identical(
             cache.update(reports), build_level_region(LEVEL, reports, BOX)
         )
 
@@ -232,74 +201,16 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
 
 
 # ----------------------------------------------------------------------
-# Check mode
+# Reports
 # ----------------------------------------------------------------------
 
 
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Dict], quick: bool
-) -> List[str]:
-    """Regression messages (empty = pass): any workload at < committed/2."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
-    baseline = section.get("kernels", {})
-    problems = []
-    for name, entry in measured.items():
-        if name not in baseline:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline[name]['speedup']:.2f}x)"
-            )
-    return problems
+def quick_report() -> Dict:
+    """The CI-size section, shaped like the committed report."""
+    return {"quick": {"n": QUICK_N, "kernels": measure(QUICK_N, quick=True)}}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 if any "
-                    "workload runs at < half its committed speedup")
-    args = ap.parse_args(argv)
-
-    quick_n = 500
-    if args.quick:
-        print(f"measuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        measured, rep = quick_kernels, None
-    else:
-        print(f"measuring full sizes (n={FULL_N}) ...")
-        full_kernels = measure(FULL_N, quick=False)
-        print(record.format_kernels(full_kernels))
-        print(f"\nmeasuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        rep = record.report(
-            FULL_N, full_kernels, quick={"n": quick_n, "kernels": quick_kernels}
-        )
-        measured = full_kernels
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nspeedup regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno workload regressed vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def full_report() -> Dict:
+    """The committed report: full sizes plus the CI-size section."""
+    quick = quick_report()
+    return record.report(FULL_N, kernels=measure(FULL_N, quick=False), **quick)

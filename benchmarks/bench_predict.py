@@ -2,10 +2,11 @@
 
 Three sections:
 
-- ``kernels``: the predictor kernel pairs (scalar reference vs
-  vectorized batch twin -- dead-reckoning advance, own-track innovation
-  gate, all-pairs join-coverage gate) asserted **bit-identical** before
-  anything is timed, the repo's kernel-pairing convention;
+- ``kernels``: the predictor kernel pairs (scalar reference in
+  ``tests/core/prediction_reference.py`` vs the bank's batch kernel --
+  dead-reckoning advance, own-track innovation gate, all-pairs
+  join-coverage gate) asserted **bit-identical** before anything is
+  timed, the repo's kernel-pairing convention;
 - ``suppression``: the committed acceptance point run end to end --
   the ``front`` steady-drift timeline (rigid translation at 2.5% of
   span per epoch) at n=600 with and without prediction from the same
@@ -21,54 +22,41 @@ The committed full section is the PR's acceptance record: reduction
 **>= 2x** delivered reports per warm epoch at a mean penalty **<= 1
 grid cell**.
 
-Usage::
-
-    python benchmarks/bench_predict.py               # full + quick, writes BENCH_predict.json
-    python benchmarks/bench_predict.py --quick       # CI smoke sizes only, no write
-    python benchmarks/bench_predict.py --quick --check BENCH_predict.json
-                                                     # regression gate (CI)
-
-``--check`` fails (exit 1) when a kernel runs at less than half its
-committed speedup, when the measured reduction falls below 90% of the
-committed one, when staleness exceeds the heartbeat (the hard bound),
-when the byte-identity verify fails, or when the committed *full*
-section no longer meets the acceptance bar (>= 2x at <= 1 cell).
+``quick_report()`` runs the verify section and the CI sizes that
+``benchmarks/gates.py`` gates: each kernel at no less than half its
+committed speedup, the reduction at no less than 90% of the committed
+one, staleness within the heartbeat, and the committed *full* section
+at the acceptance bar (>= 2x at <= 1 cell).  ``full_report()`` is what
+``python benchmarks/record.py predict`` writes.
 """
 
 from __future__ import annotations
 
-import argparse
+import hashlib
 import json
 import math
-import pathlib
 import random
-import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-_HERE = pathlib.Path(__file__).resolve().parent
-_SRC = _HERE.parent / "src"
-if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-if str(_HERE) not in sys.path:
-    sys.path.insert(0, str(_HERE))
+import record  # puts src/ and the repo root on sys.path
 
 import numpy as np
-import record
 
 from repro.core.prediction import (
     advance_tracks_batch,
-    advance_tracks_reference,
     join_accept_batch,
-    join_accept_reference,
     track_accept_batch,
-    track_accept_reference,
 )
 from repro.metrics.hausdorff import mean_isoline_hausdorff
 from repro.serving.session import SessionCompute, SessionConfig, field_for_epoch
+from tests.core.prediction_reference import (
+    advance_tracks_reference,
+    join_accept_reference,
+    track_accept_reference,
+)
 
-BENCH_JSON = _HERE.parent / "BENCH_predict.json"
-GOLDEN = _HERE.parent / "tests" / "core" / "golden" / "continuous_streams.json"
+GOLDEN = record.ROOT / "tests" / "core" / "golden" / "continuous_streams.json"
 
 #: The committed acceptance point: n=600 on the front timeline, seed 7,
 #: tolerance 1.1 field units, heartbeat 8, warm window epochs 6..16.
@@ -245,22 +233,6 @@ def measure_suppression(
     }
 
 
-def format_suppression(s: Dict[str, Any]) -> str:
-    return (
-        f"suppression (front, n={s['n_nodes']}, epochs "
-        f"{s['warm_from']}..{s['epochs']}, tol={s['tolerance']}, "
-        f"heartbeat={s['heartbeat']}):\n"
-        f"  delivered/epoch : {s['reports_base_per_epoch']} -> "
-        f"{s['reports_pred_per_epoch']}  ({s['reduction']}x reduction)\n"
-        f"  predicted/epoch : {s['predicted_per_epoch']}  "
-        f"(staleness max {s['staleness_max']} <= {s['heartbeat']})\n"
-        f"  hausdorff penalty: mean {s['penalty_mean']} max "
-        f"{s['penalty_max']} units = {s['penalty_cells_mean']} cells "
-        f"(cell {s['cell']})\n"
-        f"  monitor epoch    : {s['epoch_ms']} ms"
-    )
-
-
 # ----------------------------------------------------------------------
 # Verify section (untimed)
 # ----------------------------------------------------------------------
@@ -270,9 +242,11 @@ def verify_off_identity() -> Dict[str, Any]:
     """The dead-reckoning contract: prediction=off serving streams
     byte-identical to the committed goldens (same fixture the
     ``test_prediction_off_golden`` suite pins; the bench re-checks the
-    serving scenarios so a gate run never times a divergent build)."""
-    import hashlib
+    serving scenarios so a gate run never times a divergent build).
 
+    Raises:
+        AssertionError: at the first epoch that diverges.
+    """
     golden = json.loads(GOLDEN.read_text())
     checked = 0
     for scenario, epochs in sorted(golden["serving"].items()):
@@ -283,11 +257,10 @@ def verify_off_identity() -> Dict[str, Any]:
             out = compute.epoch(want["epoch"])
             digest = hashlib.sha256(out["delta"]).hexdigest()
             if digest != want["delta_sha256"] or out["crc"] != want["crc"]:
-                return {
-                    "ok": False,
-                    "stream": scenario,
-                    "epoch": want["epoch"],
-                }
+                raise AssertionError(
+                    "prediction=off diverged from the golden stream "
+                    f"{scenario} at epoch {want['epoch']}"
+                )
             checked += 1
     return {
         "ok": True,
@@ -297,143 +270,31 @@ def verify_off_identity() -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Check mode
+# Reports
 # ----------------------------------------------------------------------
 
 
-def check_against(
-    committed: Optional[Dict],
-    kernels: Dict[str, Dict],
-    suppression: Dict[str, Any],
-    verify: Dict[str, Any],
-    quick: bool,
-) -> List[str]:
-    """Regression messages (empty = pass)."""
-    if committed is None:
-        return ["no committed report to check against"]
-    problems: List[str] = []
-
-    section = committed.get("quick", {}) if quick else committed
-    baseline_k = section.get("kernels", {})
-    for name, entry in kernels.items():
-        if name not in baseline_k:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline_k[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline_k[name]['speedup']:.2f}x)"
-            )
-
-    baseline_s = section.get("suppression")
-    if baseline_s is None:
-        problems.append("suppression: missing from committed report")
-    else:
-        floor = 0.9 * baseline_s["reduction"]
-        if suppression["reduction"] < floor:
-            problems.append(
-                f"suppression: reduction {suppression['reduction']}x < floor "
-                f"{floor:.2f}x (committed {baseline_s['reduction']}x)"
-            )
-    if suppression["staleness_max"] > suppression["heartbeat"]:
-        problems.append(
-            f"suppression: staleness {suppression['staleness_max']} exceeds "
-            f"heartbeat {suppression['heartbeat']} (bound violated)"
-        )
-    if not verify["ok"]:
-        problems.append(
-            "verify: prediction=off diverged from the golden stream "
-            f"{verify.get('stream')} at epoch {verify.get('epoch')}"
-        )
-
-    # The acceptance record lives in the committed FULL section; keep it
-    # honest even when only quick sizes were measured.
-    full_s = committed.get("suppression")
-    if full_s is None:
-        problems.append("committed report has no full suppression section")
-    elif full_s["reduction"] < 2.0 or full_s["penalty_cells_mean"] > 1.0:
-        problems.append(
-            "committed full section fails the acceptance bar: "
-            f"{full_s['reduction']}x at {full_s['penalty_cells_mean']} cells "
-            "(needs >= 2x at <= 1 cell)"
-        )
-    return problems
+def quick_report() -> Dict[str, Any]:
+    """The verify section and the CI-size section, shaped like the
+    committed report."""
+    return {
+        "verify": verify_off_identity(),
+        "quick": {
+            "n": QUICK_NODES,
+            "kernels": measure_kernels(quick=True),
+            "suppression": measure_suppression(
+                QUICK_NODES, QUICK_EPOCHS, QUICK_WARM
+            ),
+        },
+    }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 on "
-                    "kernel/reduction regression, a staleness-bound or "
-                    "byte-identity violation")
-    args = ap.parse_args(argv)
-
-    print("verifying prediction=off byte identity ...")
-    verify = verify_off_identity()
-    if verify["ok"]:
-        print(
-            f"  ok: {verify['streams']} golden streams, "
-            f"{verify['epochs']} epochs byte-identical"
-        )
-    else:
-        print(f"  FAILED at {verify['stream']} epoch {verify['epoch']}")
-
-    if args.quick:
-        print(f"measuring quick sizes (n={QUICK_NODES}) ...")
-        kernels = measure_kernels(quick=True)
-        suppression = measure_suppression(
-            QUICK_NODES, QUICK_EPOCHS, QUICK_WARM
-        )
-        print(record.format_kernels(kernels))
-        print(format_suppression(suppression))
-        rep = None
-    else:
-        print(f"measuring full sizes (n={FULL_NODES}) ...")
-        kernels = measure_kernels(quick=False)
-        suppression = measure_suppression(FULL_NODES, FULL_EPOCHS, FULL_WARM)
-        print(record.format_kernels(kernels))
-        print(format_suppression(suppression))
-        print(f"\nmeasuring quick sizes (n={QUICK_NODES}) ...")
-        quick_kernels = measure_kernels(quick=True)
-        quick_suppression = measure_suppression(
-            QUICK_NODES, QUICK_EPOCHS, QUICK_WARM
-        )
-        print(record.format_kernels(quick_kernels))
-        print(format_suppression(quick_suppression))
-        rep = record.report(
-            FULL_NODES,
-            kernels,
-            suppression=suppression,
-            verify=verify,
-            quick={
-                "n": QUICK_NODES,
-                "kernels": quick_kernels,
-                "suppression": quick_suppression,
-            },
-        )
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)),
-            kernels, suppression, verify, args.quick,
-        )
-        if problems:
-            print("\nregression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno regression vs {args.check}")
-    elif rep is not None:
-        if not verify["ok"]:
-            print("\nrefusing to write a report with a failed verify")
-            return 1
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def full_report() -> Dict[str, Any]:
+    """The committed report: full sizes plus the quick sections."""
+    quick = quick_report()
+    return record.report(
+        FULL_NODES,
+        kernels=measure_kernels(quick=False),
+        suppression=measure_suppression(FULL_NODES, FULL_EPOCHS, FULL_WARM),
+        **quick,
+    )

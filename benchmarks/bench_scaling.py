@@ -16,35 +16,23 @@ Each point also times one ``detect_isoline_nodes`` call on the built
 network (``detect_s``, with its own ``CostAccountant``), so the
 detection layer has a number at every n.
 
-Usage::
-
-    python benchmarks/bench_scaling.py                  # full run, writes JSON
-    python benchmarks/bench_scaling.py --quick          # CI sizes only
-    python benchmarks/bench_scaling.py --quick --check BENCH_scaling.json
+``quick_report()`` runs the verification and the CI sizes that
+``benchmarks/gates.py`` gates: report counts and diameters are fully
+deterministic per (n, seed), so they must equal the committed points,
+and peak RSS must stay under the committed ceiling (timings are
+machine-dependent and not gated).  ``full_report()`` is what
+``python benchmarks/record.py scaling`` writes.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import math
-import pathlib
-import platform
-import sys
 import time
 from typing import Any, Dict, List, Optional
 
-_HERE = pathlib.Path(__file__).resolve().parent
-_SRC = _HERE.parent / "src"
-if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-if str(_HERE) not in sys.path:
-    sys.path.insert(0, str(_HERE))
-
-import numpy as np
-
-import record
+import record  # puts src/ on sys.path
 
 from repro.baselines import TinyDBProtocol
 from repro.core.detection import detect_isoline_nodes
@@ -63,8 +51,6 @@ from repro.experiments.fig14_traffic import (
 from repro.field import make_harbor_field
 from repro.network import CostAccountant
 from repro.network.faults import FaultPlan
-
-BENCH_JSON = _HERE.parent / "BENCH_scaling.json"
 
 #: Full sweep sizes (density 1: side = sqrt(n)).
 FULL_NS = (2500, 10000, 40000, 100000, 1000000)
@@ -194,105 +180,39 @@ def fitted_exponent(points: List[Dict[str, Any]]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Regression gate
+# Reports
 # ----------------------------------------------------------------------
 
 
-def check_against(
-    committed: Optional[Dict], measured: List[Dict[str, Any]], quick: bool
-) -> List[str]:
-    """Regression messages (empty = pass).
-
-    Report counts and diameters are fully deterministic per (n, seed),
-    so they must match the committed points exactly; peak RSS only has
-    to stay under the committed ceiling (timings are machine-dependent
-    and not gated).
-    """
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
-    baseline = {p["n"]: p for p in section.get("points", [])}
-    ceiling = section.get("rss_ceiling_mb", QUICK_RSS_CEILING_MB)
-    problems = []
-    for p in measured:
-        ref = baseline.get(p["n"])
-        if ref is None:
-            problems.append(f"n={p['n']}: missing from committed report")
-            continue
-        for key in ("isomap_reports", "diameter_hops"):
-            if p[key] != ref[key]:
-                problems.append(
-                    f"n={p['n']}: {key} {p[key]} != committed {ref[key]}"
-                )
-        if p["peak_rss_mb"] > ceiling:
-            problems.append(
-                f"n={p['n']}: peak_rss {p['peak_rss_mb']} MB over the "
-                f"{ceiling} MB ceiling"
-            )
-    return problems
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 on any "
-                    "determinism mismatch or peak-RSS ceiling breach")
-    args = ap.parse_args(argv)
-
+def quick_report() -> Dict[str, Any]:
+    """The verification, then the CI-size section, shaped like the
+    committed report."""
     print("verifying tiled == untiled at n=2500 (two layouts) ...")
     verify_tiling()
-    print("  bit-identical")
-
-    quick_points = None
-    rep = None
-    if args.quick:
-        print(f"measuring quick sizes {QUICK_NS} ...")
-        quick_points = measure_points(QUICK_NS)
-        measured = quick_points
-    else:
-        print(f"measuring full sizes {FULL_NS} ...")
-        full_points = measure_points(FULL_NS)
-        print(f"measuring quick sizes {QUICK_NS} ...")
-        quick_points = measure_points(QUICK_NS)
-        exponent = fitted_exponent(full_points)
-        print(f"fitted Iso-Map report exponent: n^{exponent}")
-        rep = {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "config": {
-                "seed": SEED,
-                "fault_intensity": FAULT_INTENSITY,
-                "tile_rule": "auto: max(1.5, side / 8)",
-                "tinydb_max_n": TINYDB_MAX_N,
-                "memory": "peak_rss_mb per point in a fresh spawned process",
-            },
-            "fitted_report_exponent": exponent,
-            "points": full_points,
-            "quick": {
-                "rss_ceiling_mb": QUICK_RSS_CEILING_MB,
-                "fitted_report_exponent": fitted_exponent(quick_points),
-                "points": quick_points,
-            },
+    points = measure_points(QUICK_NS)
+    return {
+        "quick": {
+            "rss_ceiling_mb": QUICK_RSS_CEILING_MB,
+            "fitted_report_exponent": fitted_exponent(points),
+            "points": points,
         }
-        measured = full_points
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nregression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno regression vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+    }
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def full_report() -> Dict[str, Any]:
+    """The committed report: full sizes plus the CI-size section."""
+    quick = quick_report()
+    points = measure_points(FULL_NS)
+    return {
+        **record.versions(),
+        "config": {
+            "seed": SEED,
+            "fault_intensity": FAULT_INTENSITY,
+            "tile_rule": "auto: max(1.5, side / 8)",
+            "tinydb_max_n": TINYDB_MAX_N,
+            "memory": "peak_rss_mb per point in a fresh spawned process",
+        },
+        "fitted_report_exponent": fitted_exponent(points),
+        "points": points,
+        **quick,
+    }

@@ -13,43 +13,25 @@ CI-sized smoke.  Before anything is timed, a correctness pass asserts
 the byte-identity contract (a replayed delta stream renders the served
 snapshot exactly) on the benchmark configuration itself.
 
-Usage::
-
-    python benchmarks/bench_serving.py            # full + quick, writes BENCH_serving.json
-    python benchmarks/bench_serving.py --quick    # CI smoke sizes only, no write
-    python benchmarks/bench_serving.py --quick --check BENCH_serving.json
-                                                  # fail on a >4x throughput regression
-
-``--check`` compares measured snapshot req/s and delta deliveries/s
-against the committed report (the ``quick`` section when ``--quick`` is
-given) and exits 1 if either falls below a quarter of its committed
-value.  Latency percentiles are reported but never gated -- they are
-too machine-dependent for CI.
+``quick_report()`` runs the correctness pass and the CI-size load that
+``benchmarks/gates.py`` gates: snapshot req/s and delta deliveries/s at
+no less than a quarter of their committed values.  Latency percentiles
+are reported but never gated -- they are too machine-dependent for CI.
+``full_report()`` is what ``python benchmarks/record.py serving``
+writes.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import pathlib
-import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-_HERE = pathlib.Path(__file__).resolve().parent
-_SRC = _HERE.parent / "src"
-if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-if str(_HERE) not in sys.path:
-    sys.path.insert(0, str(_HERE))
-
-import record
+import record  # puts src/ on sys.path
 
 from repro.serving.clients import run_load
 from repro.serving.router import MapService
 from repro.serving.session import SessionConfig
 from repro.serving.wire import DeltaReplayer
-
-BENCH_JSON = _HERE.parent / "BENCH_serving.json"
 
 #: Full-size load: the ISSUE acceptance bar is >= 1000 subscribers.
 FULL = dict(n_nodes=600, subscribers=1200, snapshot_clients=64, epochs=6, shards=2)
@@ -99,80 +81,25 @@ def measure(sizes: Dict[str, int]) -> Dict[str, Any]:
     return report.to_dict()
 
 
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Any], quick: bool
-) -> List[str]:
-    """Regression messages (empty = pass): throughput < committed/4."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
-    baseline = section.get("serving")
-    if not baseline:
-        return ["committed report has no serving section"]
-    problems = []
-    for label, path in (
-        ("snapshot req/s", ("snapshot", "rps")),
-        ("delta deliveries/s", ("delta_stream", "deliveries_per_s")),
-    ):
-        want = baseline[path[0]][path[1]] / 4.0
-        got = measured[path[0]][path[1]]
-        if got < want:
-            problems.append(
-                f"{label}: measured {got:.0f}/s < floor {want:.0f}/s "
-                f"(committed {baseline[path[0]][path[1]]:.0f}/s)"
-            )
-    return problems
+TIMING = "one load run, wall clock (latencies ms, throughput /s)"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 if "
-                    "throughput fell below a quarter of its committed value")
-    args = ap.parse_args(argv)
-
+def quick_report() -> Dict[str, Any]:
+    """The correctness pass, then the CI-size load, shaped like the
+    committed report."""
     print("verifying replay/snapshot byte-identity ...")
     verify(QUICK["n_nodes"], QUICK["epochs"])
-
-    if args.quick:
-        print(f"\nmeasuring quick load ({QUICK['subscribers']} subscribers, inline) ...")
-        quick_serving = measure(QUICK)
-        measured, rep = quick_serving, None
-    else:
-        print(
-            f"\nmeasuring full load ({FULL['subscribers']} subscribers, "
-            f"{FULL['shards']} shards) ..."
-        )
-        full_serving = measure(FULL)
-        print(f"\nmeasuring quick load ({QUICK['subscribers']} subscribers, inline) ...")
-        quick_serving = measure(QUICK)
-        rep = record.report(
-            FULL["subscribers"],
-            kernels={},
-            timing="one load run, wall clock (latencies ms, throughput /s)",
-            serving=full_serving,
-            quick={"n": QUICK["subscribers"], "serving": quick_serving},
-        )
-        del rep["kernels"]  # this report has no kernel section
-        measured = full_serving
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nthroughput regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno throughput regression vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+    print(f"measuring quick load ({QUICK['subscribers']} subscribers, inline) ...")
+    return {"quick": {"n": QUICK["subscribers"], "serving": measure(QUICK)}}
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def full_report() -> Dict[str, Any]:
+    """The committed report: the full load plus the CI-size section."""
+    quick = quick_report()
+    print(
+        f"measuring full load ({FULL['subscribers']} subscribers, "
+        f"{FULL['shards']} shards) ..."
+    )
+    return record.report(
+        FULL["subscribers"], TIMING, serving=measure(FULL), **quick
+    )

@@ -19,34 +19,21 @@ acceptance bar on the benchmark configuration itself: the chaos run's
 replayed delta stream and every retained snapshot are byte-identical
 to a fault-free run at the same epoch.
 
-Usage::
-
-    python benchmarks/bench_serving_faults.py           # full + quick, writes the report
-    python benchmarks/bench_serving_faults.py --quick   # CI smoke sizes, no write
-    python benchmarks/bench_serving_faults.py --quick --check BENCH_serving_faults.json
-
-``--check`` fails (exit 1) when the injected counts differ from the
-committed report (a determinism break) or availability falls below half
-its committed value (a recovery regression).  MTTR is reported but not
-gated -- it is wall-clock and machine-dependent.
+``quick_report()`` runs the correctness pass and the CI-size chaos run
+that ``benchmarks/gates.py`` gates: the injected counts and the epoch
+count must equal the committed report (a determinism break otherwise),
+and availability must stay at no less than half its committed value (a
+recovery regression otherwise).  MTTR is reported but not gated -- it
+is wall-clock and machine-dependent.  ``full_report()`` is what
+``python benchmarks/record.py serving_faults`` writes.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import pathlib
-import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-_HERE = pathlib.Path(__file__).resolve().parent
-_SRC = _HERE.parent / "src"
-if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-if str(_HERE) not in sys.path:
-    sys.path.insert(0, str(_HERE))
-
-import record
+import record  # puts src/ on sys.path
 
 from repro.serving.chaos import ChaosPlan
 from repro.serving.clients import percentile, run_load
@@ -56,10 +43,8 @@ from repro.serving.session import SessionCompute, SessionConfig
 from repro.serving.supervisor import SupervisorConfig
 from repro.serving.wire import DeltaReplayer, encode_snapshot
 
-BENCH_JSON = _HERE.parent / "BENCH_serving_faults.json"
-
 #: The one seed every run uses: the injected-failure counts below are
-#: reproducible *because* the draws are counter-based, and the CI gate
+#: reproducible *because* the draws are counter-based, and the gate
 #: checks them exactly.
 CHAOS_SEED = 6
 
@@ -200,88 +185,25 @@ def measure(sizes: Dict[str, Any]) -> Dict[str, Any]:
     return section
 
 
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Any], quick: bool
-) -> List[str]:
-    """Gate messages (empty = pass): injection determinism + availability."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
-    baseline = section.get("serving_faults")
-    if not baseline:
-        return ["committed report has no serving_faults section"]
-    problems = []
-    if measured["injected"] != baseline["injected"]:
-        problems.append(
-            f"injected counts changed: measured {measured['injected']} "
-            f"vs committed {baseline['injected']} -- the seeded chaos "
-            f"stream is no longer deterministic"
-        )
-    committed_avail = baseline["recovery"]["availability"]
-    floor = committed_avail / 2.0
-    got = measured["recovery"]["availability"]
-    if got < floor:
-        problems.append(
-            f"availability {got:.2%} < floor {floor:.2%} "
-            f"(committed {committed_avail:.2%})"
-        )
-    if measured["epochs"] != baseline["epochs"]:
-        problems.append(
-            f"run published {measured['epochs']} epochs, committed run "
-            f"published {baseline['epochs']}"
-        )
-    return problems
+TIMING = "one seeded chaos run, wall clock (MTTR ms)"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 on an "
-                    "injection-determinism break or halved availability")
-    args = ap.parse_args(argv)
-
+def quick_report() -> Dict[str, Any]:
+    """The correctness pass, then the CI-size chaos run, shaped like the
+    committed report."""
     print("verifying chaos-run byte-identity vs fault-free truth ...")
     verify(QUICK)
-
-    if args.quick:
-        print(f"\nmeasuring quick chaos run ({QUICK['epochs']} epochs, inline) ...")
-        quick_faults = measure(QUICK)
-        measured, rep = quick_faults, None
-    else:
-        print(
-            f"\nmeasuring full chaos run ({FULL['epochs']} epochs, "
-            f"{FULL['shards']} shards) ..."
-        )
-        full_faults = measure(FULL)
-        print(f"\nmeasuring quick chaos run ({QUICK['epochs']} epochs, inline) ...")
-        quick_faults = measure(QUICK)
-        rep = record.report(
-            FULL["subscribers"],
-            kernels={},
-            timing="one seeded chaos run, wall clock (MTTR ms)",
-            serving_faults=full_faults,
-            quick={"n": QUICK["subscribers"], "serving_faults": quick_faults},
-        )
-        del rep["kernels"]  # this report has no kernel section
-        measured = full_faults
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nfault-recovery regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno fault-recovery regression vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
+    print(f"measuring quick chaos run ({QUICK['epochs']} epochs, inline) ...")
+    return {"quick": {"n": QUICK["subscribers"], "serving_faults": measure(QUICK)}}
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def full_report() -> Dict[str, Any]:
+    """The committed report: the full chaos run plus the CI-size section."""
+    quick = quick_report()
+    print(
+        f"measuring full chaos run ({FULL['epochs']} epochs, "
+        f"{FULL['shards']} shards) ..."
+    )
+    return record.report(
+        FULL["subscribers"], TIMING, serving_faults=measure(FULL), **quick
+    )

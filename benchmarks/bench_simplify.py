@@ -2,10 +2,10 @@
 
 Two sections:
 
-- ``kernels``: the simplifier pair (scalar reference vs vectorized
-  Douglas-Peucker, open polyline and closed ring) -- asserted
-  **bit-identical** before anything is timed, the PR-1/PR-3 pairing
-  convention;
+- ``kernels``: the simplifier pair (the scalar reference in
+  ``tests/geometry/simplify_reference.py`` vs vectorized Douglas-Peucker,
+  open polyline and closed ring) -- asserted **bit-identical** before
+  anything is timed, the repo's kernel-pairing convention;
 - ``serving``: the steady harbor session run end to end with the
   SIMPLIFIED stream enabled -- cumulative delta bytes a plain vs a
   simplified subscriber receives, final snapshot sizes, the record
@@ -17,52 +17,33 @@ The committed full section is the PR's acceptance record: on the steady
 scenario at tolerance 1.0 the byte ratio clears **5x** with the
 deviation inside **one grid cell**.
 
-Usage::
-
-    python benchmarks/bench_simplify.py               # full + quick, writes BENCH_simplify.json
-    python benchmarks/bench_simplify.py --quick       # CI smoke sizes only, no write
-    python benchmarks/bench_simplify.py --quick --check BENCH_simplify.json
-                                                      # regression gate (CI)
-
-``--check`` fails (exit 1) when a kernel runs at less than half its
-committed speedup, when the byte ratio falls below 90% of the committed
-ratio, when the measured deviation exceeds the tolerance (the hard
-guarantee), or when the committed *full* section no longer meets the
-acceptance bar (ratio >= 5x at <= 1 grid cell).
+``quick_report()`` runs the CI sizes that ``benchmarks/gates.py`` gates:
+each kernel at no less than half its committed speedup, the byte ratio
+at no less than 90% of the committed one, the measured deviation within
+the tolerance (the hard guarantee), and the committed *full* section at
+the acceptance bar (ratio >= 5x at <= 1 grid cell).  ``full_report()``
+is what ``python benchmarks/record.py simplify`` writes.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import pathlib
 import random
-import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-_HERE = pathlib.Path(__file__).resolve().parent
-_SRC = _HERE.parent / "src"
-if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-if str(_HERE) not in sys.path:
-    sys.path.insert(0, str(_HERE))
+import record  # puts src/ and the repo root on sys.path
 
-import record
-
-from repro.geometry.simplify import (
-    simplify_polyline,
-    simplify_polyline_reference,
-    simplify_ring,
-    simplify_ring_reference,
-)
+from repro.geometry.simplify import simplify_polyline, simplify_ring
 from repro.serving.session import SessionCompute, SessionConfig
 from repro.serving.wire import (
     encode_snapshot,
     select_simplified_records,
     simplified_selection_stats,
 )
-
-BENCH_JSON = _HERE.parent / "BENCH_simplify.json"
+from tests.geometry.simplify_reference import (
+    simplify_polyline_reference,
+    simplify_ring_reference,
+)
 
 #: Serving density of the committed acceptance numbers (record reduction
 #: grows with node density; 5000 nodes on the 50x50 harbor clears 5x).
@@ -189,134 +170,28 @@ def measure_serving(n_nodes: int, epochs: int, quick: bool) -> Dict[str, Any]:
     }
 
 
-def format_serving(s: Dict[str, Any]) -> str:
-    return (
-        f"serving (steady harbor, n={s['n_nodes']}, {s['epochs']} epochs, "
-        f"tol={s['tolerance']}):\n"
-        f"  records            : {s['records_full']} -> {s['records_kept']}\n"
-        f"  delta bytes/sub    : {s['delta_bytes_plain']} -> "
-        f"{s['delta_bytes_simplified']}  ({s['bytes_ratio']}x)\n"
-        f"  snapshot bytes     : {s['snapshot_bytes_plain']} -> "
-        f"{s['snapshot_bytes_simplified']}\n"
-        f"  hausdorff deviation: {s['hausdorff_dev']} units "
-        f"({s['hausdorff_cells']} grid cells, guarantee <= {s['tolerance']})\n"
-        f"  selection wall     : {s['select_ms']} ms"
+# ----------------------------------------------------------------------
+# Reports
+# ----------------------------------------------------------------------
+
+
+def quick_report() -> Dict[str, Any]:
+    """The CI-size section, shaped like the committed report."""
+    return {
+        "quick": {
+            "n": QUICK_NODES,
+            "kernels": measure_kernels(quick=True),
+            "serving": measure_serving(QUICK_NODES, epochs=3, quick=True),
+        }
+    }
+
+
+def full_report() -> Dict[str, Any]:
+    """The committed report: full sizes plus the CI-size section."""
+    quick = quick_report()
+    return record.report(
+        FULL_NODES,
+        kernels=measure_kernels(quick=False),
+        serving=measure_serving(FULL_NODES, epochs=6, quick=False),
+        **quick,
     )
-
-
-# ----------------------------------------------------------------------
-# Check mode
-# ----------------------------------------------------------------------
-
-
-def check_against(
-    committed: Optional[Dict],
-    kernels: Dict[str, Dict],
-    serving: Dict[str, Any],
-    quick: bool,
-) -> List[str]:
-    """Regression messages (empty = pass)."""
-    if committed is None:
-        return ["no committed report to check against"]
-    problems: List[str] = []
-
-    section = committed.get("quick", {}) if quick else committed
-    baseline_k = section.get("kernels", {})
-    for name, entry in kernels.items():
-        if name not in baseline_k:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline_k[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline_k[name]['speedup']:.2f}x)"
-            )
-
-    baseline_s = section.get("serving")
-    if baseline_s is None:
-        problems.append("serving: missing from committed report")
-    else:
-        floor = 0.9 * baseline_s["bytes_ratio"]
-        if serving["bytes_ratio"] < floor:
-            problems.append(
-                f"serving: byte ratio {serving['bytes_ratio']}x < floor "
-                f"{floor:.2f}x (committed {baseline_s['bytes_ratio']}x)"
-            )
-    if serving["hausdorff_dev"] > serving["tolerance"]:
-        problems.append(
-            f"serving: measured deviation {serving['hausdorff_dev']} exceeds "
-            f"tolerance {serving['tolerance']} (guarantee violated)"
-        )
-
-    # The acceptance record lives in the committed FULL section; keep it
-    # honest even when only quick sizes were measured.
-    full_s = committed.get("serving")
-    if full_s is None:
-        problems.append("committed report has no full serving section")
-    elif full_s["bytes_ratio"] < 5.0 or full_s["hausdorff_cells"] > 1.0:
-        problems.append(
-            "committed full section fails the acceptance bar: "
-            f"{full_s['bytes_ratio']}x at {full_s['hausdorff_cells']} cells "
-            "(needs >= 5x at <= 1 cell)"
-        )
-    return problems
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 on "
-                    "kernel/byte-ratio regression or a tolerance violation")
-    args = ap.parse_args(argv)
-
-    if args.quick:
-        print(f"measuring quick sizes (n={QUICK_NODES}) ...")
-        kernels = measure_kernels(quick=True)
-        serving = measure_serving(QUICK_NODES, epochs=3, quick=True)
-        print(record.format_kernels(kernels))
-        print(format_serving(serving))
-        rep = None
-    else:
-        print(f"measuring full sizes (n={FULL_NODES}) ...")
-        kernels = measure_kernels(quick=False)
-        serving = measure_serving(FULL_NODES, epochs=6, quick=False)
-        print(record.format_kernels(kernels))
-        print(format_serving(serving))
-        print(f"\nmeasuring quick sizes (n={QUICK_NODES}) ...")
-        quick_kernels = measure_kernels(quick=True)
-        quick_serving = measure_serving(QUICK_NODES, epochs=3, quick=True)
-        print(record.format_kernels(quick_kernels))
-        print(format_serving(quick_serving))
-        rep = record.report(
-            FULL_NODES,
-            kernels,
-            serving=serving,
-            quick={
-                "n": QUICK_NODES,
-                "kernels": quick_kernels,
-                "serving": quick_serving,
-            },
-        )
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)),
-            kernels, serving, args.quick,
-        )
-        if problems:
-            print("\nregression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno regression vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

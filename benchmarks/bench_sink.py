@@ -1,9 +1,10 @@
 """Before/after benchmark of the sink-side pipeline -> ``BENCH_sink.json``.
 
-Times every vectorized sink-side stage against the retained scalar
-reference it replaced (and, except for the resample kernel, is
-bit-compatible with -- each timed pair is also checked for agreement
-inline):
+Times every vectorized sink-side stage against the scalar reference it
+replaced (and, except for the resample kernel, is bit-compatible with --
+each timed pair is also checked for agreement inline).  The references
+live beside their differential tests under ``tests/``, except
+``bounded_voronoi_reference``, which still builds small diagrams:
 
 - ``voronoi``              bounded Voronoi of a ring site set
 - ``dedupe``               coincident-report deduplication
@@ -22,68 +23,53 @@ The ring workloads put every site/report on a wiggly closed curve --
 the realistic Iso-Map input shape and the adversarial one for the
 Voronoi prefilter (cells are slivers reaching the medial axis).
 
-Usage::
-
-    python benchmarks/bench_sink.py               # full + quick, writes BENCH_sink.json
-    python benchmarks/bench_sink.py --quick       # CI smoke sizes only, no write
-    python benchmarks/bench_sink.py --quick --check BENCH_sink.json
-                                                  # fail if any stage regressed >2x
-
-``--check`` compares each measured speedup against the committed report
-(the ``quick`` section when ``--quick`` is given) and exits 1 if any
-stage runs at less than half its committed speedup -- tolerant enough
-for loaded CI machines, tight enough to catch a devectorized stage.
+``quick_report()`` runs the CI sizes that ``benchmarks/gates.py`` gates
+(each stage at no less than half its committed speedup);
+``full_report()`` is what ``python benchmarks/record.py sink`` writes.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import pathlib
 import random
-import sys
 from typing import Dict, List, Optional
 
-_HERE = pathlib.Path(__file__).resolve().parent
-_SRC = _HERE.parent / "src"
-if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-if str(_HERE) not in sys.path:
-    sys.path.insert(0, str(_HERE))
+import record  # puts src/ and the repo root on sys.path
 
 import numpy as np
 
-import record
-
-from repro.core.reconstruction import (
-    _dedupe_reports,
-    _dedupe_reports_reference,
-    build_level_region,
-    build_level_region_reference,
-)
+from repro.core.reconstruction import _dedupe_reports, build_level_region
 from repro.core.reports import IsolineReport
 from repro.experiments.common import default_levels, harbor_network, run_isomap
 from repro.field import make_harbor_field
-from repro.field.contours import extract_isolines, extract_isolines_reference
+from repro.field.contours import extract_isolines
 from repro.geometry import BoundingBox
-from repro.geometry.polyline import resample_polyline, resample_polyline_fast
+from repro.geometry.polyline import resample_polyline_fast
 from repro.geometry.voronoi import (
     bounded_voronoi_batched,
     bounded_voronoi_reference,
 )
-from repro.metrics.hausdorff import (
-    _sample_all_reference,
-    directed_hausdorff,
-    directed_hausdorff_reference,
-    mean_isoline_hausdorff,
+from repro.metrics.hausdorff import directed_hausdorff, mean_isoline_hausdorff
+from tests.core.reconstruction_reference import (
+    assert_cells_identical,
+    assert_regions_identical,
+    build_level_region_reference,
+    dedupe_reports_reference,
 )
-
-BENCH_JSON = _HERE.parent / "BENCH_sink.json"
+from tests.field.contours_reference import extract_isolines_reference
+from tests.geometry.polyline_reference import resample_polyline_reference
+from tests.metrics.hausdorff_reference import (
+    directed_hausdorff_reference,
+    sample_all_reference,
+)
 
 #: Headline size: reports/sites per level at the paper's n=2500 density-1
 #: operating point is the *node* count; the sink stress case puts that
 #: many reports on one isoline.
 FULL_N = 2500
+
+#: CI smoke size.
+QUICK_N = 500
 
 
 # ----------------------------------------------------------------------
@@ -138,24 +124,6 @@ def _point_cloud(n: int, seed: int) -> List:
 # ----------------------------------------------------------------------
 
 
-def _assert_cells_equal(fast, ref) -> None:
-    assert len(fast) == len(ref)
-    for cf, cr in zip(fast, ref):
-        assert cf.site_index == cr.site_index
-        assert cf.polygon.vertices == cr.polygon.vertices
-        assert cf.polygon.labels == cr.polygon.labels
-        assert cf.neighbors == cr.neighbors
-
-
-def _assert_regions_equal(fast, ref) -> None:
-    assert fast.reports == ref.reports
-    _assert_cells_equal(fast.cells, ref.cells)
-    assert [p.vertices for p in fast.inner_polys] == [p.vertices for p in ref.inner_polys]
-    assert fast.loops == ref.loops
-    assert fast.regulated_loops == ref.regulated_loops
-    assert fast.regulation_stats == ref.regulation_stats
-
-
 def _assert_close(a: Optional[float], b: Optional[float], rel: float) -> None:
     assert (a is None) == (b is None), (a, b)
     if a is not None:
@@ -194,10 +162,10 @@ def _fig12_eval_reference(maps, levels, grid: int) -> List[Optional[float]]:
         values: List[float] = []
         for level in levels:
             field = make_harbor_field()  # fresh instance: cold caches
-            true_pts = _sample_all_reference(
+            true_pts = sample_all_reference(
                 extract_isolines_reference(field, level, nx=grid, ny=grid), 0.5
             )
-            est_pts = _sample_all_reference(band_map.isolines(level), 0.5)
+            est_pts = sample_all_reference(band_map.isolines(level), 0.5)
             if not true_pts or not est_pts:
                 continue
             values.append(
@@ -226,7 +194,7 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
 
     # --- voronoi ------------------------------------------------------
     sites = [r.position for r in _ring_reports(n, seed=1)]
-    _assert_cells_equal(
+    assert_cells_identical(
         bounded_voronoi_batched(sites, box), bounded_voronoi_reference(sites, box)
     )
     kernels["voronoi"] = record.kernel_entry(
@@ -238,17 +206,17 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
 
     # --- dedupe -------------------------------------------------------
     dreports = _dedupe_workload(n)
-    assert _dedupe_reports(dreports) == _dedupe_reports_reference(dreports)
+    assert _dedupe_reports(dreports) == dedupe_reports_reference(dreports)
     kernels["dedupe"] = record.kernel_entry(
-        "_dedupe_reports_reference (all-pairs scan)",
+        "dedupe_reports_reference (all-pairs scan)",
         "_dedupe_reports (spatial hash)",
-        record.best_of(lambda: _dedupe_reports_reference(dreports), heavy_reps + 1),
+        record.best_of(lambda: dedupe_reports_reference(dreports), heavy_reps + 1),
         record.best_of(lambda: _dedupe_reports(dreports), 10),
     )
 
     # --- reconstruction ----------------------------------------------
     rreports = _ring_reports(n, seed=2)
-    _assert_regions_equal(
+    assert_regions_identical(
         build_level_region(8.0, rreports, box),
         build_level_region_reference(8.0, rreports, box),
     )
@@ -279,15 +247,15 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
 
     # --- resample -----------------------------------------------------
     line = _wiggly_polyline(200 if quick else 2000)
-    ref_pts = resample_polyline(line, 0.05)
+    ref_pts = resample_polyline_reference(line, 0.05)
     fast_pts = resample_polyline_fast(line, 0.05)
     assert abs(len(ref_pts) - len(fast_pts)) <= 1
     m = min(len(ref_pts), len(fast_pts))
     assert np.allclose(np.asarray(ref_pts[:m]), np.asarray(fast_pts[:m]), atol=1e-6)
     kernels["resample"] = record.kernel_entry(
-        "resample_polyline (scalar arclength walk)",
+        "resample_polyline_reference (scalar arclength walk)",
         "resample_polyline_fast (cumulative-length searchsorted)",
-        record.best_of(lambda: resample_polyline(line, 0.05), light_reps + 2),
+        record.best_of(lambda: resample_polyline_reference(line, 0.05), light_reps + 2),
         record.best_of(lambda: resample_polyline_fast(line, 0.05), 10),
     )
 
@@ -323,74 +291,16 @@ def measure(n: int, quick: bool) -> Dict[str, Dict]:
 
 
 # ----------------------------------------------------------------------
-# Check mode
+# Reports
 # ----------------------------------------------------------------------
 
 
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Dict], quick: bool
-) -> List[str]:
-    """Regression messages (empty = pass): any stage at < committed/2."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
-    baseline = section.get("kernels", {})
-    problems = []
-    for name, entry in measured.items():
-        if name not in baseline:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline[name]['speedup']:.2f}x)"
-            )
-    return problems
+def quick_report() -> Dict:
+    """The CI-size section, shaped like the committed report."""
+    return {"quick": {"n": QUICK_N, "kernels": measure(QUICK_N, quick=True)}}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 if any "
-                    "stage runs at < half its committed speedup")
-    args = ap.parse_args(argv)
-
-    quick_n = 500
-    if args.quick:
-        print(f"measuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        measured, rep = quick_kernels, None
-    else:
-        print(f"measuring full sizes (n={FULL_N}) ...")
-        full_kernels = measure(FULL_N, quick=False)
-        print(record.format_kernels(full_kernels))
-        print(f"\nmeasuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        rep = record.report(
-            FULL_N, full_kernels, quick={"n": quick_n, "kernels": quick_kernels}
-        )
-        measured = full_kernels
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nspeedup regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno stage regressed vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def full_report() -> Dict:
+    """The committed report: full sizes plus the CI-size section."""
+    quick = quick_report()
+    return record.report(FULL_N, kernels=measure(FULL_N, quick=False), **quick)

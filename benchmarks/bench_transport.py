@@ -20,60 +20,40 @@ An extra ``large_n`` section records the absolute wall clock of one
 moderate-fault epoch at n = 40000 (the large-n feasibility point the
 scaling experiments rely on).
 
-Usage::
-
-    python benchmarks/bench_transport.py             # full + quick, writes BENCH_transport.json
-    python benchmarks/bench_transport.py --quick     # CI smoke sizes only, no write
-    python benchmarks/bench_transport.py --quick --check BENCH_transport.json
-                                                     # fail if a kernel regressed >2x
-
-``--check`` compares each measured speedup against the committed report
-(the ``quick`` section when ``--quick`` is given) and exits 1 if any
-kernel runs at less than half its committed speedup.
+``quick_report()`` runs the CI sizes that ``benchmarks/gates.py`` gates
+(each kernel at no less than half its committed speedup);
+``full_report()`` is what ``python benchmarks/record.py transport``
+writes.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import pathlib
-import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict
 
-_HERE = pathlib.Path(__file__).resolve().parent
-_ROOT = _HERE.parent
-_SRC = _ROOT / "src"
-if str(_SRC) not in sys.path:  # standalone execution without PYTHONPATH=src
-    sys.path.insert(0, str(_SRC))
-if str(_HERE) not in sys.path:
-    sys.path.insert(0, str(_HERE))
-if str(_ROOT) not in sys.path:  # the oracle lives under tests/
-    sys.path.insert(0, str(_ROOT))
+import record  # puts src/ and the repo root on sys.path
 
 import numpy as np
-
-import record
 
 from repro.core.wire import VALUE_REPORT_BYTES
 from repro.field import make_harbor_field
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultPlan
-from repro.network.routing_tree import (
-    build_routing_tree,
-    build_routing_tree_reference,
-)
+from repro.network.routing_tree import build_routing_tree
 from repro.network.transport import (
     EpochTransport,
     TransportConfig,
     forward_reports_to_sink,
 )
+from tests.network.routing_tree_reference import build_routing_tree_reference
 from tests.network.transport_reference import forward_reports_reference
-
-BENCH_JSON = _HERE.parent / "BENCH_transport.json"
 
 #: Headline size: the paper's density-1 operating point.
 FULL_N = 2500
+
+#: CI smoke size.
+QUICK_N = 400
 
 #: Large-n feasibility point (side 200 at density 1).
 LARGE_N = 40000
@@ -185,79 +165,18 @@ def measure_large_n() -> Dict[str, float]:
     }
 
 
-def check_against(
-    committed: Optional[Dict], measured: Dict[str, Dict], quick: bool
-) -> List[str]:
-    """Regression messages (empty = pass): any kernel at < committed/2."""
-    if committed is None:
-        return ["no committed report to check against"]
-    section = committed.get("quick", {}) if quick else committed
-    baseline = section.get("kernels", {})
-    problems = []
-    for name, entry in measured.items():
-        if name not in baseline:
-            problems.append(f"{name}: missing from committed report")
-            continue
-        floor = baseline[name]["speedup"] / 2.0
-        if entry["speedup"] < floor:
-            problems.append(
-                f"{name}: measured {entry['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(committed {baseline[name]['speedup']:.2f}x)"
-            )
-    return problems
+def quick_report() -> Dict:
+    """The CI-size section, shaped like the committed report."""
+    return {"quick": {"n": QUICK_N, "kernels": measure(QUICK_N, quick=True)}}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="CI smoke sizes only; does not write the report")
-    ap.add_argument("--check", metavar="PATH", default=None,
-                    help="compare against a committed report; exit 1 if any "
-                    "kernel runs at < half its committed speedup")
-    args = ap.parse_args(argv)
-
-    quick_n = 400
-    if args.quick:
-        print(f"measuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        measured, rep = quick_kernels, None
-    else:
-        print(f"measuring full sizes (n={FULL_N}) ...")
-        full_kernels = measure(FULL_N, quick=False)
-        print(record.format_kernels(full_kernels))
-        print(f"\nmeasuring quick sizes (n={quick_n}) ...")
-        quick_kernels = measure(quick_n, quick=True)
-        print(record.format_kernels(quick_kernels))
-        print(f"\nmeasuring large-n feasibility (n={LARGE_N}) ...")
-        large = measure_large_n()
-        print(
-            f"n={large['n']}: topology {large['topology_build_ms']:.0f} ms, "
-            f"moderate-fault epoch {large['epoch_ms']:.0f} ms"
-        )
-        rep = record.report(
-            FULL_N,
-            full_kernels,
-            quick={"n": quick_n, "kernels": quick_kernels},
-            large_n=large,
-        )
-        measured = full_kernels
-
-    if args.check:
-        problems = check_against(
-            record.load_report(pathlib.Path(args.check)), measured, args.quick
-        )
-        if problems:
-            print("\nspeedup regression vs committed report:")
-            for p in problems:
-                print(f"  {p}")
-            return 1
-        print(f"\nno kernel regressed vs {args.check}")
-    elif rep is not None:
-        record.write_report(BENCH_JSON, rep)
-        print(f"\nwrote {BENCH_JSON}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def full_report() -> Dict:
+    """The committed report: full sizes, the CI-size section and the
+    large-n feasibility point."""
+    quick = quick_report()
+    return record.report(
+        FULL_N,
+        kernels=measure(FULL_N, quick=False),
+        **quick,
+        large_n=measure_large_n(),
+    )

@@ -1,8 +1,8 @@
-"""Shared helpers for the before/after benchmark reports.
+"""Shared helpers of the benchmark reports, and their full-size regeneration.
 
-Both ``bench_kernel.py`` (node-side kernels, ``BENCH_kernels.json``) and
-``bench_sink.py`` (sink-side pipeline, ``BENCH_sink.json``) publish the
-same JSON shape::
+Every gated bench (``bench_<module>.py`` in :data:`BENCHES`) publishes a
+committed ``BENCH_<name>.json`` at the repo root.  Most share this
+shape::
 
     {
       "n": 2500,
@@ -18,15 +18,29 @@ same JSON shape::
           "speedup": 3.82
         },
         ...
-      }
+      },
+      "quick": {"n": 500, "kernels": {...}}
     }
 
-plus optional extra sections (``bench_sink.py`` adds a ``quick`` section
-with the same ``{"n", "kernels"}`` shape for the CI smoke sizes).
+plus bench-specific sections.  Each bench module defines
+``quick_report()`` -- its verification pass and the CI-size measurement,
+shaped like the committed file, which ``benchmarks/gates.py`` checks --
+and ``full_report()``, the whole committed file.  Running this module
+regenerates the committed files (minutes per bench; the numbers are the
+host's)::
+
+    python benchmarks/record.py                 # every bench
+    python benchmarks/record.py sink transport  # only these
+
+Importing it puts ``src/`` and the repo root on ``sys.path``, so the
+benches import ``repro`` and the test-side oracles (``tests/<area>/
+*_reference.py``) without an install.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
 import multiprocessing
 import pathlib
@@ -34,9 +48,53 @@ import platform
 import resource
 import sys
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+for _path in (ROOT / "src", ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+#: Every bench with a committed report: name -> module.  The report is
+#: ``BENCH_<name>.json`` at the repo root.
+BENCHES = {
+    "continuous": "bench_continuous",
+    "kernels": "bench_kernel",
+    "predict": "bench_predict",
+    "scaling": "bench_scaling",
+    "serving": "bench_serving",
+    "serving_faults": "bench_serving_faults",
+    "simplify": "bench_simplify",
+    "sink": "bench_sink",
+    "transport": "bench_transport",
+}
+
+
+def bench_json(name: str) -> pathlib.Path:
+    return ROOT / f"BENCH_{name}.json"
+
+
+def bench_module(name: str):
+    return importlib.import_module(BENCHES[name])
+
+
+def parse_benches(
+    argv: Optional[Sequence[str]], description: str, names: Sequence[str]
+) -> List[str]:
+    """The bench names given on the command line (all of ``names`` when
+    none are given)."""
+    ap = argparse.ArgumentParser(description=description)
+    ap.add_argument(
+        "benches", nargs="*", metavar="bench",
+        help=f"one of: {', '.join(names)} (default: all)",
+    )
+    args = ap.parse_args(argv)
+    unknown = sorted(set(args.benches) - set(names))
+    if unknown:
+        ap.error(f"unknown bench: {', '.join(unknown)}")
+    return args.benches or list(names)
 
 
 def peak_rss_mb() -> float:
@@ -102,41 +160,31 @@ def kernel_entry(
 
 
 def report(
-    n: int, kernels: Dict[str, Dict[str, Any]], **extra: Any
+    n: int, timing: str = "min over repeats, wall clock (ms)", **sections: Any
 ) -> Dict[str, Any]:
-    """Assemble a full report dict in the shared schema."""
-    rep: Dict[str, Any] = {
-        "n": n,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "timing": "min over repeats, wall clock (ms)",
-        "kernels": kernels,
-    }
-    rep.update(extra)
-    return rep
+    """A committed report: ``n``, the interpreter and NumPy versions,
+    how ``timing`` was taken, then ``sections``."""
+    return {"n": n, **versions(), "timing": timing, **sections}
+
+
+def versions() -> Dict[str, str]:
+    """The interpreter and NumPy versions a report was measured on."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def write_report(path: pathlib.Path, rep: Dict[str, Any]) -> None:
     path.write_text(json.dumps(rep, indent=2) + "\n")
 
 
-def load_report(path: pathlib.Path) -> Optional[Dict[str, Any]]:
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    for name in parse_benches(
+        argv, "Regenerate committed BENCH_*.json reports at full size.", list(BENCHES)
+    ):
+        print(f"{name}: measuring full and quick sizes ...", flush=True)
+        write_report(bench_json(name), bench_module(name).full_report())
+        print(f"wrote {bench_json(name)}")
+    return 0
 
 
-def format_kernels(kernels: Dict[str, Dict[str, Any]]) -> str:
-    """Aligned text table of a ``kernels`` section."""
-    name_w = max([len("stage")] + [len(k) for k in kernels])
-    header = (
-        f"{'stage':<{name_w}} {'reference ms':>13} {'vectorized ms':>14} {'speedup':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for name, e in kernels.items():
-        lines.append(
-            f"{name:<{name_w}} {e['reference_ms']:>13.3f} "
-            f"{e['vectorized_ms']:>14.3f} {e['speedup']:>7.2f}x"
-        )
-    return "\n".join(lines)
+if __name__ == "__main__":
+    sys.exit(main())

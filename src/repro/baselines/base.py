@@ -12,15 +12,15 @@ data-suppression protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.field.contours import band_of, extract_isolines
 from repro.field.grid_field import SampledGridField
-from repro.geometry import BoundingBox, Vec
+from repro.geometry import BoundingBox, Vec, dist_sq
 from repro.network import CostAccountant
-from repro.network.transport import DegradationReport
+from repro.network.transport import DegradationReport, EpochTransport, OutFrame
 
 
 @dataclass
@@ -42,6 +42,49 @@ class ProtocolRun:
     costs: CostAccountant
     reports_delivered: int
     degradation: Optional[DegradationReport] = None
+
+
+def collect_aggregates(
+    transport: EpochTransport,
+    buffers: Dict[int, list],
+    absorb: Callable[[list, object, int], None],
+) -> list:
+    """One aggregate-collection epoch: eScan's tuples, INLR's regions.
+
+    ``buffers`` maps each source to its seeded aggregates, each with
+    ``wire_bytes()``, ``rids`` and ``clone()``.  A node sends its whole
+    buffer up the tree; each arrival (a clone when the frame is a
+    duplicate) is folded into the receiver's buffer by
+    ``absorb(buffer, aggregate, receiver)``.  Returns the sink's
+    aggregates, whose member reports are marked delivered.
+    """
+
+    def frames_for(u: int) -> List[OutFrame]:
+        return [
+            OutFrame(nbytes=item.wire_bytes(), rids=tuple(item.rids), payload=item)
+            for item in buffers.pop(u, ())
+        ]
+
+    def on_arrival(_sender, receiver, _frame, arrived, is_dup):
+        instance = arrived.clone() if is_dup else arrived
+        absorb(buffers.setdefault(receiver, []), instance, receiver)
+
+    transport.run_collection(frames_for, on_arrival)
+    final = buffers.get(transport.network.tree.sink, [])
+    for item in final:
+        for rid in item.rids:
+            transport.deliver_at_sink(rid)
+    return final
+
+
+def points_adjacent(a: Sequence[Vec], b: Sequence[Vec], adjacency_sq: float) -> bool:
+    """Whether any point of ``a`` lies within ``sqrt(adjacency_sq)`` of
+    any point of ``b``."""
+    for p in a:
+        for q in b:
+            if dist_sq(p, q) <= adjacency_sq:
+                return True
+    return False
 
 
 class NearestReportBandMap:

@@ -21,14 +21,18 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.baselines.base import NearestReportBandMap, ProtocolRun
+from repro.baselines.base import (
+    NearestReportBandMap,
+    ProtocolRun,
+    collect_aggregates,
+    points_adjacent,
+)
 from repro.core.wire import BYTES_PER_PARAM, QUERY_BYTES
-from repro.geometry import Vec, dist_sq
+from repro.geometry import Vec
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultPlan
 from repro.network.transport import (
     EpochTransport,
-    OutFrame,
     TransportConfig,
     disseminate_query,
 )
@@ -139,30 +143,13 @@ class EScanProtocol:
                 ScanTuple(value, value, [tuple(point)], 1, rids=[transport.register()])
             ]
 
-        tree = network.tree
-
-        def frames_for(u: int) -> List[OutFrame]:
-            return [
-                OutFrame(nbytes=tup.wire_bytes(), rids=tuple(tup.rids), payload=tup)
-                for tup in buffers.pop(u, ())
-            ]
-
-        def on_arrival(_sender, receiver, _frame, arrived, is_dup):
-            instance = arrived.clone() if is_dup else arrived
-            self._absorb(
-                buffers.setdefault(receiver, []),
-                instance,
-                receiver,
-                adjacency_sq,
-                costs,
-            )
-
-        transport.run_collection(frames_for, on_arrival)
-
-        final_tuples = buffers.get(tree.sink, [])
-        for tup in final_tuples:
-            for rid in tup.rids:
-                transport.deliver_at_sink(rid)
+        final_tuples = collect_aggregates(
+            transport,
+            buffers,
+            lambda buffer, tup, receiver: self._absorb(
+                buffer, tup, receiver, adjacency_sq, costs
+            ),
+        )
         degradation = transport.finalize()
         costs.reports_generated = len(sources)
         costs.reports_delivered = len(final_tuples)
@@ -200,16 +187,8 @@ class EScanProtocol:
             )
             if merged_width > self.value_tolerance:
                 continue
-            if not self._adjacent(existing, tup, adjacency_sq):
+            if not points_adjacent(existing.points, tup.points, adjacency_sq):
                 continue
             existing.merge(tup)
             return
         buffer.append(tup)
-
-    @staticmethod
-    def _adjacent(a: ScanTuple, b: ScanTuple, adjacency_sq: float) -> bool:
-        for p in a.points:
-            for q in b.points:
-                if dist_sq(p, q) <= adjacency_sq:
-                    return True
-        return False

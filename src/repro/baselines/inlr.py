@@ -25,15 +25,19 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.baselines.base import NearestReportBandMap, ProtocolRun
+from repro.baselines.base import (
+    NearestReportBandMap,
+    ProtocolRun,
+    collect_aggregates,
+    points_adjacent,
+)
 from repro.core.wire import BYTES_PER_PARAM, QUERY_BYTES
 from repro.field.contours import band_of
-from repro.geometry import Vec, dist_sq
+from repro.geometry import Vec
 from repro.network import CostAccountant, SensorNetwork
 from repro.network.faults import FaultPlan
 from repro.network.transport import (
     EpochTransport,
-    OutFrame,
     TransportConfig,
     disseminate_query,
 )
@@ -160,32 +164,15 @@ class INLRProtocol:
                 )
             ]
 
-        tree = network.tree
-
-        def frames_for(u: int) -> List[OutFrame]:
-            # Transmit each (already aggregated) region to the parent,
-            # which merges the arrivals into its own buffer.
-            return [
-                OutFrame(
-                    nbytes=region.wire_bytes(),
-                    rids=tuple(region.rids),
-                    payload=region,
-                )
-                for region in buffers.pop(u, ())
-            ]
-
-        def on_arrival(_sender, receiver, _frame, arrived, is_dup):
-            instance = arrived.clone() if is_dup else arrived
-            self._absorb(
-                buffers.setdefault(receiver, []), instance, receiver, adjacency, costs
-            )
-
-        transport.run_collection(frames_for, on_arrival)
-
-        final_regions = buffers.get(tree.sink, [])
-        for region in final_regions:
-            for rid in region.rids:
-                transport.deliver_at_sink(rid)
+        # Each node transmits its (already aggregated) regions to its
+        # parent, which merges the arrivals into its own buffer.
+        final_regions = collect_aggregates(
+            transport,
+            buffers,
+            lambda buffer, region, receiver: self._absorb(
+                buffer, region, receiver, adjacency, costs
+            ),
+        )
         degradation = transport.finalize()
         costs.reports_generated = len(sources)
         costs.reports_delivered = len(final_regions)
@@ -219,7 +206,7 @@ class INLRProtocol:
             # Adjacency test over retained point pairs.
             pairs = len(existing.points) * len(region.points)
             costs.charge_ops(node_id, OPS_PER_ADJACENCY_PAIR * pairs)
-            if not self._adjacent(existing, region, adjacency_sq):
+            if not points_adjacent(existing.points, region.points, adjacency_sq):
                 continue
             # Model similarity: same band and adjacent -> merge; the
             # refit over the TRUE member count is the dominant cost (the
@@ -231,14 +218,6 @@ class INLRProtocol:
             existing.merge(region)
             return
         buffer.append(region)
-
-    @staticmethod
-    def _adjacent(a: Region, b: Region, adjacency_sq: float) -> bool:
-        for p in a.points:
-            for q in b.points:
-                if dist_sq(p, q) <= adjacency_sq:
-                    return True
-        return False
 
     def _sink_map(
         self, network: SensorNetwork, regions: List[Region]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -140,7 +140,25 @@ def build_contour_map(
             all-empty levels (see module docstring).
         regulate: apply Rules 1-2 to each level's boundary.
     """
-    levels = sorted(levels)
+    return _assemble_map(
+        reports,
+        sorted(levels),
+        bounds,
+        sink_value,
+        lambda v, group: build_level_region(v, group, bounds, regulate=regulate),
+    )
+
+
+def _assemble_map(
+    reports: Sequence[IsolineReport],
+    levels: List[float],
+    bounds: BoundingBox,
+    sink_value: Optional[float],
+    build: Callable[[float, List[IsolineReport]], LevelRegion],
+) -> ContourMap:
+    """Group ``reports`` by isolevel and build each reported level with
+    ``build(level, reports)``; a level without reports is full or absent
+    (see module docstring)."""
     by_level: Dict[float, List[IsolineReport]] = {v: [] for v in levels}
     for r in reports:
         if r.isolevel in by_level:
@@ -149,9 +167,7 @@ def build_contour_map(
     cmap = ContourMap(bounds=bounds, levels=list(levels))
     for i, v in enumerate(levels):
         if by_level[v]:
-            cmap.regions[v] = build_level_region(
-                v, by_level[v], bounds, regulate=regulate
-            )
+            cmap.regions[v] = build(v, by_level[v])
         else:
             higher_evidence = any(by_level[w] for w in levels[i + 1 :])
             sink_above = sink_value is not None and sink_value >= v
@@ -214,34 +230,21 @@ class SinkReconstructor:
         epoch deltas themselves.
         """
         t0 = time.perf_counter()
-        by_level: Dict[float, List[IsolineReport]] = {v: [] for v in self.levels}
-        for r in reports:
-            if r.isolevel in by_level:
-                by_level[r.isolevel].append(r)
-
-        cmap = ContourMap(bounds=self.bounds, levels=list(self.levels))
-        cells_total = 0
-        cells_recomputed = 0
-        full_rebuilds = 0
-        for i, v in enumerate(self.levels):
-            cache = self._caches[v]
-            if by_level[v]:
-                cmap.regions[v] = cache.update(by_level[v])
-                cells_total += cache.stats.last_cells_total
-                cells_recomputed += cache.stats.last_cells_recomputed
-                full_rebuilds += int(cache.stats.last_full_rebuild)
-            else:
+        cmap = _assemble_map(
+            reports,
+            self.levels,
+            self.bounds,
+            sink_value,
+            lambda v, group: self._caches[v].update(group),
+        )
+        for v, cache in self._caches.items():
+            if v not in cmap.regions:
                 # The level emptied: retained cells would be stale, and a
                 # later non-empty epoch must rebuild from scratch.
                 cache.reset()
-                higher_evidence = any(
-                    by_level[w] for w in self.levels[i + 1 :]
-                )
-                sink_above = sink_value is not None and sink_value >= v
-                if higher_evidence or sink_above:
-                    cmap.full_levels.append(v)
         self.last_seconds = time.perf_counter() - t0
-        self.last_cells_total = cells_total
-        self.last_cells_recomputed = cells_recomputed
-        self.last_full_rebuilds = full_rebuilds
+        built = [self._caches[v].stats for v in cmap.regions]
+        self.last_cells_total = sum(st.last_cells_total for st in built)
+        self.last_cells_recomputed = sum(st.last_cells_recomputed for st in built)
+        self.last_full_rebuilds = sum(int(st.last_full_rebuild) for st in built)
         return cmap

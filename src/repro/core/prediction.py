@@ -44,10 +44,10 @@ queries).
 
 **Kernel pair.** The per-epoch hot loops -- dead-reckoning, the
 own-track innovation gate, and the join-vs-track match gate -- follow
-the repo's kernel-pair convention: a scalar ``*_reference`` twin and a
-vectorized NumPy twin built from the same elementwise expressions, so
-the two are bit-identical (pinned by ``tests/core/test_prediction.py``).
-The bank runs the vectorized twins; the scalar ones are the oracles.
+the repo's kernel-pair convention: each ``*_batch`` kernel has a scalar
+``*_reference`` twin in ``tests/core/prediction_reference.py`` built
+from the same elementwise expressions, so the two are bit-identical
+(pinned by ``tests/core/test_prediction.py``).
 The sequential re-key/claim bookkeeping on delivered reports stays
 plain Python.
 
@@ -113,8 +113,8 @@ class PredictionConfig:
             launching the track across the field.
 
     The bank always runs the ``*_batch`` kernels; their scalar
-    ``*_reference`` twins are kept beside them as the kernel-pair
-    oracles.
+    ``*_reference`` twins are the tests' kernel-pair oracles
+    (``tests/core/prediction_reference.py``).
     """
 
     position_tolerance: float = 1.0
@@ -189,10 +189,10 @@ class Track:
 # Kernel pair: dead-reckoning, innovation gate, join-match gate
 # ----------------------------------------------------------------------
 #
-# Every batch twin is the same elementwise IEEE expression as its scalar
-# reference, evaluated on float64 -- which is what makes the pair
-# bit-identical rather than merely close (the convention established by
-# the transport and topology kernels).
+# Every batch kernel is the same elementwise IEEE expression as its
+# scalar reference (tests/core/prediction_reference.py), evaluated on
+# float64 -- which is what makes the pair bit-identical rather than
+# merely close.
 
 
 def wrap_angle(a: float) -> float:
@@ -204,21 +204,6 @@ def wrap_angle_batch(a: np.ndarray) -> np.ndarray:
     return (a + math.pi) % TWO_PI - math.pi
 
 
-def advance_tracks_reference(
-    x: Sequence[float],
-    y: Sequence[float],
-    vx: Sequence[float],
-    vy: Sequence[float],
-    theta: Sequence[float],
-    omega: Sequence[float],
-) -> Tuple[List[float], List[float], List[float]]:
-    """Dead-reckon every track one epoch: ``p + v``, wrapped ``theta + omega``."""
-    nx = [x[i] + vx[i] for i in range(len(x))]
-    ny = [y[i] + vy[i] for i in range(len(y))]
-    nt = [wrap_angle(theta[i] + omega[i]) for i in range(len(theta))]
-    return nx, ny, nt
-
-
 def advance_tracks_batch(
     x: np.ndarray,
     y: np.ndarray,
@@ -227,42 +212,8 @@ def advance_tracks_batch(
     theta: np.ndarray,
     omega: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dead-reckon every track one epoch: ``p + v``, wrapped ``theta + omega``."""
     return x + vx, y + vy, wrap_angle_batch(theta + omega)
-
-
-def track_accept_reference(
-    ox: Sequence[float],
-    oy: Sequence[float],
-    otheta: Sequence[float],
-    olevel: Sequence[float],
-    px: Sequence[float],
-    py: Sequence[float],
-    ptheta: Sequence[float],
-    plevel: Sequence[float],
-    age: Sequence[int],
-    tol_sq: float,
-    angle_tol: float,
-    heartbeat: int,
-) -> Tuple[List[bool], List[bool]]:
-    """Own-track innovation gate for observation/prediction pairs.
-
-    Returns ``(accept, would_accept)``: ``accept`` is the suppression
-    decision; ``would_accept`` ignores the heartbeat cap, so
-    ``would_accept and not accept`` counts the forced heartbeats.
-    """
-    accept: List[bool] = []
-    would: List[bool] = []
-    for i in range(len(ox)):
-        dx = ox[i] - px[i]
-        dy = oy[i] - py[i]
-        d2 = dx * dx + dy * dy
-        dth = abs(wrap_angle(otheta[i] - ptheta[i]))
-        w = bool(
-            d2 <= tol_sq and dth <= angle_tol and olevel[i] == plevel[i]
-        )
-        would.append(w)
-        accept.append(w and age[i] <= heartbeat)
-    return accept, would
 
 
 def track_accept_batch(
@@ -279,53 +230,18 @@ def track_accept_batch(
     angle_tol: float,
     heartbeat: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Own-track innovation gate for observation/prediction pairs.
+
+    Returns ``(accept, would_accept)``: ``accept`` is the suppression
+    decision; ``would_accept`` ignores the heartbeat cap, so
+    ``would_accept and not accept`` counts the forced heartbeats.
+    """
     dx = ox - px
     dy = oy - py
     d2 = dx * dx + dy * dy
     dth = np.abs(wrap_angle_batch(otheta - ptheta))
     would = (d2 <= tol_sq) & (dth <= angle_tol) & (olevel == plevel)
     return would & (age <= heartbeat), would
-
-
-def join_accept_reference(
-    jx: Sequence[float],
-    jy: Sequence[float],
-    jtheta: Sequence[float],
-    jlevel: Sequence[float],
-    tx: Sequence[float],
-    ty: Sequence[float],
-    ttheta: Sequence[float],
-    tlevel: Sequence[float],
-    tage: Sequence[int],
-    tol_sq: float,
-    angle_tol: float,
-    heartbeat: int,
-) -> Tuple[List[bool], List[bool]]:
-    """Join gate: a joining observation is suppressed when ANY track's
-    prediction covers it (same level, within both tolerances, age within
-    the heartbeat cap).
-
-    Returns ``(accept, covered)``: per-join suppression decisions and a
-    per-*track* mask of which tracks covered at least one join -- the
-    coverage-lease signal (a track covering nothing is going ghost).
-    """
-    out: List[bool] = []
-    covered = [False] * len(tx)
-    for j in range(len(jx)):
-        hit = False
-        for t in range(len(tx)):
-            if tlevel[t] != jlevel[j] or tage[t] > heartbeat:
-                continue
-            dx = jx[j] - tx[t]
-            dy = jy[j] - ty[t]
-            if dx * dx + dy * dy > tol_sq:
-                continue
-            if abs(wrap_angle(jtheta[j] - ttheta[t])) > angle_tol:
-                continue
-            hit = True
-            covered[t] = True
-        out.append(hit)
-    return out, covered
 
 
 def join_accept_batch(
@@ -342,6 +258,14 @@ def join_accept_batch(
     angle_tol: float,
     heartbeat: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Join gate: a joining observation is suppressed when ANY track's
+    prediction covers it (same level, within both tolerances, age within
+    the heartbeat cap).
+
+    Returns ``(accept, covered)``: per-join suppression decisions and a
+    per-*track* mask of which tracks covered at least one join -- the
+    coverage-lease signal (a track covering nothing is going ghost).
+    """
     if len(jx) == 0 or len(tx) == 0:
         return np.zeros(len(jx), dtype=bool), np.zeros(len(tx), dtype=bool)
     dx = jx[:, None] - tx[None, :]

@@ -263,50 +263,6 @@ def _finish_region(region: LevelRegion, regulate: bool) -> LevelRegion:
     return region
 
 
-def build_level_region_reference(
-    isolevel: float,
-    reports: Sequence[IsolineReport],
-    bounds: BoundingBox,
-    regulate: bool = True,
-) -> LevelRegion:
-    """Reconstruction composed entirely of the retained scalar reference
-    kernels (pairwise dedupe, per-site-sorted Voronoi, rescanning boundary
-    extraction).  Exists so the differential tests can pin the fast
-    pipeline against it end to end; produces bit-identical regions.
-    """
-    from repro.geometry.voronoi import bounded_voronoi_reference
-
-    deduped = _dedupe_reports_reference(reports)
-    if not deduped:
-        raise ValueError("cannot reconstruct a level without reports")
-
-    sites = [r.position for r in deduped]
-    cells = bounded_voronoi_reference(sites, bounds)
-
-    inner_polys = [_inner_part(c, r) for c, r in zip(cells, deduped)]
-    segments = _boundary_segments_reference(cells, inner_polys, sites)
-    loops = stitch_segments_into_loops(segments)
-
-    region = LevelRegion(
-        isolevel=isolevel,
-        bounds=bounds,
-        reports=deduped,
-        cells=cells,
-        inner_polys=inner_polys,
-        loops=loops,
-    )
-    if regulate:
-        from repro.core.regulation import regulate_loops
-
-        region.regulated_loops, region.regulation_stats = regulate_loops(
-            loops, deduped
-        )
-    else:
-        region.regulated_loops = loops
-        region.regulation_stats = {"rule1": 0, "rule2": 0}
-    return region
-
-
 # ----------------------------------------------------------------------
 # Incremental (epoch-delta) reconstruction
 # ----------------------------------------------------------------------
@@ -627,8 +583,8 @@ def _dedupe_reports(reports: Sequence[IsolineReport]) -> List[IsolineReport]:
     grid, so each report only compares against kept reports in its 3x3
     bucket neighbourhood (any position within DEDUPE_TOL is at most one
     bucket away).  First-report-wins order is identical to the pairwise
-    :func:`_dedupe_reports_reference`, which the tests pin; expected cost
-    is O(k) instead of O(k^2).
+    scan in ``tests/core/reconstruction_reference.py``, which the tests
+    pin; expected cost is O(k) instead of O(k^2).
     """
     kept: List[IsolineReport] = []
     buckets: Dict[Tuple[int, int], List[Vec]] = {}
@@ -655,17 +611,6 @@ def _dedupe_reports(reports: Sequence[IsolineReport]) -> List[IsolineReport]:
     return kept
 
 
-def _dedupe_reports_reference(
-    reports: Sequence[IsolineReport],
-) -> List[IsolineReport]:
-    """All-pairs dedupe (retained reference for :func:`_dedupe_reports`)."""
-    kept: List[IsolineReport] = []
-    for r in reports:
-        if all(dist_sq(r.position, k.position) > DEDUPE_TOL**2 for k in kept):
-            kept.append(r)
-    return kept
-
-
 def _inner_part(cell: VoronoiCell, report: IsolineReport) -> ConvexPolygon:
     """The inner half of a cell: the side *against* the descent direction.
 
@@ -679,12 +624,17 @@ def _inner_part(cell: VoronoiCell, report: IsolineReport) -> ConvexPolygon:
     return cell.polygon.clip(hp, CUT_LABEL)
 
 
-def _boundary_segments(
+#: Lazily-built per-inner-polygon edge index: ``label -> twin edges``.
+_EdgeIndex = List[Optional[Dict[int, List[Tuple[Vec, Vec]]]]]
+
+
+def _boundary_segments_by_cell(
     cells: List[VoronoiCell],
     inner_polys: List[ConvexPolygon],
     sites: List[Vec],
-) -> List[BoundarySegment]:
-    """Extract the merged region's boundary from the per-cell inner parts.
+) -> List[List[BoundarySegment]]:
+    """Extract the merged region's boundary from the per-cell inner parts,
+    grouped per cell.
 
     - Cut-chord edges are type-1 boundary, always.
     - Field-border edges of inner parts are boundary (of kind BORDER).
@@ -695,30 +645,12 @@ def _boundary_segments(
     Each inner part's edges are indexed by label once (lazily), so every
     type-2 edge finds its twin edges in one dict lookup instead of
     rescanning the neighbour's whole edge list -- O(edges) overall where
-    the retained :func:`_boundary_segments_reference` is O(edges * degree).
-    Hole order within a label follows ``edges()`` order either way, so the
-    interval subtraction (and hence the output) is bit-identical.
-    """
-    segments: List[BoundarySegment] = []
-    for segs in _boundary_segments_by_cell(cells, inner_polys, sites):
-        segments.extend(segs)
-    return segments
-
-
-#: Lazily-built per-inner-polygon edge index: ``label -> twin edges``.
-_EdgeIndex = List[Optional[Dict[int, List[Tuple[Vec, Vec]]]]]
-
-
-def _boundary_segments_by_cell(
-    cells: List[VoronoiCell],
-    inner_polys: List[ConvexPolygon],
-    sites: List[Vec],
-) -> List[List[BoundarySegment]]:
-    """The segments of :func:`_boundary_segments`, grouped per cell.
-
-    Flattening in cell order reproduces the flat extraction exactly;
-    the grouping exists so :class:`ReconstructionCache` can retain and
-    splice clean cells' segments across epochs.
+    the rescanning reference in ``tests/core/reconstruction_reference.py``
+    is O(edges * degree).  Hole order within a label follows ``edges()``
+    order either way, so the interval subtraction (and hence the output)
+    is bit-identical.  Flattening in cell order gives the reference's
+    segment list; the grouping exists so :class:`ReconstructionCache`
+    can retain and splice clean cells' segments across epochs.
     """
     by_site = {c.site_index: k for k, c in enumerate(cells)}
     edge_index: _EdgeIndex = [None] * len(inner_polys)
@@ -784,64 +716,6 @@ def _cell_boundary_segments(
                     )
                 )
     return segments
-
-
-def _boundary_segments_reference(
-    cells: List[VoronoiCell],
-    inner_polys: List[ConvexPolygon],
-    sites: List[Vec],
-) -> List[BoundarySegment]:
-    """Rescanning extraction (retained reference for
-    :func:`_boundary_segments`)."""
-    by_site = {c.site_index: k for k, c in enumerate(cells)}
-    segments: List[BoundarySegment] = []
-
-    for k, (cell, inner) in enumerate(zip(cells, inner_polys)):
-        if inner.is_empty:
-            continue
-        i = cell.site_index
-        for a, b, label in inner.edges():
-            if label == CUT_LABEL:
-                segments.append(BoundarySegment(a, b, TYPE1, cell=i))
-            elif label == BORDER_LABEL:
-                segments.append(BoundarySegment(a, b, BORDER, cell=i))
-            else:
-                j = label
-                neighbor_inner = inner_polys[by_site[j]]
-                bisector = _bisector_line(sites[i], sites[j])
-                uncovered = _uncovered_portions(bisector, (a, b), neighbor_inner, j, i)
-                for (pa, pb) in uncovered:
-                    segments.append(
-                        BoundarySegment(pa, pb, TYPE2, cell=i, other=j)
-                    )
-    return segments
-
-
-def _uncovered_portions(
-    bisector: Line,
-    edge: Tuple[Vec, Vec],
-    neighbor_inner: ConvexPolygon,
-    neighbor_site: int,
-    my_site: int,
-) -> List[Tuple[Vec, Vec]]:
-    """Portions of ``edge`` (on ``bisector``) not covered by the neighbour's
-    inner part's twin edges."""
-    a, b = edge
-    ta = param_on_line(bisector, a)
-    tb = param_on_line(bisector, b)
-    base = Interval(ta, tb)
-    holes: List[Interval] = []
-    if not neighbor_inner.is_empty:
-        for (c, d, label) in neighbor_inner.edges():
-            if label == my_site:
-                holes.append(
-                    Interval(param_on_line(bisector, c), param_on_line(bisector, d))
-                )
-    remaining = subtract_intervals(base, holes)
-    return [
-        (_point_at_param(bisector, iv.lo), _point_at_param(bisector, iv.hi))
-        for iv in remaining
-    ]
 
 
 def _bisector_line(a: Vec, b: Vec) -> Line:

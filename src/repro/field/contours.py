@@ -82,8 +82,8 @@ def extract_isolines(
     is implicit); isolines that leave the field come back as open chains.
 
     The grid cells are classified in one vectorized pass (bit-compatible
-    with :func:`extract_isolines_reference`, the retained scalar loop) and
-    the result is memoised on the field instance -- the evaluation
+    with the scalar per-square loop in ``tests/field/contours_reference.py``)
+    and the result is memoised on the field instance -- the evaluation
     pipeline asks for the same ground-truth isolines once per protocol
     under comparison, and fields are immutable by construction.
     """
@@ -100,52 +100,14 @@ def extract_isolines(
     return hit
 
 
-def extract_isolines_reference(
-    field: ScalarField, level: float, nx: int = 200, ny: int = 200
-) -> List[List[Vec]]:
-    """Scalar reference for :func:`extract_isolines` (per-cell loop).
-
-    Retained for the differential tests and the sink benchmark; no
-    memoisation, and every 2x2 square goes through
-    :func:`_square_segments` individually.
-    """
-    grid = field.sample_grid(nx, ny)
-    b = field.bounds
-    dx = b.width / nx
-    dy = b.height / ny
-    xs = b.xmin + (np.arange(nx) + 0.5) * dx
-    ys = b.ymin + (np.arange(ny) + 0.5) * dy
-
-    segments: List[Tuple[Vec, Vec]] = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            v00 = grid[j, i]
-            v10 = grid[j, i + 1]
-            v01 = grid[j + 1, i]
-            v11 = grid[j + 1, i + 1]
-            segments.extend(
-                _square_segments(
-                    level,
-                    (float(xs[i]), float(ys[j])),
-                    dx,
-                    dy,
-                    v00,
-                    v10,
-                    v01,
-                    v11,
-                )
-            )
-    return chain_segments(segments)
-
-
 # ----------------------------------------------------------------------
 # Marching-squares internals
 # ----------------------------------------------------------------------
 
 #: Case -> crossing segments as index pairs into the per-cell edge-point
-#: table ``[bottom, right, top, left]``.  Mirrors the dict in
-#: :func:`_square_segments` exactly (order included); saddles (5, 10) are
-#: resolved separately against the centre average.
+#: table ``[bottom, right, top, left]``.  Mirrors the per-square case
+#: table of the scalar reference exactly (order included); saddles
+#: (5, 10) are resolved separately against the centre average.
 _CASE_EDGES: Dict[int, Tuple[Tuple[int, int], ...]] = {
     1: ((3, 0),),
     2: ((0, 1),),
@@ -174,7 +136,7 @@ def _marching_squares_segments(
     """All crossing segments of the raster, classified in one array pass.
 
     Produces the identical segment list -- same floats, same order -- as
-    the reference row-major loop over :func:`_square_segments`: cells are
+    the reference's row-major loop over single squares: cells are
     emitted in (j, i) order (``np.nonzero`` is row-major) and the edge
     interpolation repeats the scalar formulas elementwise.
     """
@@ -248,87 +210,6 @@ def _marching_squares_segments(
         for ea, eb in pairs:
             segments.append(((exk[ea], eyk[ea]), (exk[eb], eyk[eb])))
     return segments
-
-
-def _interp(level: float, pa: Vec, pb: Vec, va: float, vb: float) -> Vec:
-    """Point on segment pa-pb where the value linearly crosses ``level``."""
-    if va == vb:
-        t = 0.5
-    else:
-        t = (level - va) / (vb - va)
-        t = max(0.0, min(1.0, t))
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-
-def _square_segments(
-    level: float,
-    origin: Vec,
-    dx: float,
-    dy: float,
-    v00: float,
-    v10: float,
-    v01: float,
-    v11: float,
-) -> List[Tuple[Vec, Vec]]:
-    """Crossing segments inside one 2x2 sample square.
-
-    Corner layout (sample positions)::
-
-        p01 -- p11        top edge:    p01-p11
-         |      |          bottom:     p00-p10
-        p00 -- p10         left/right: p00-p01 / p10-p11
-    """
-    x0, y0 = origin
-    p00 = (x0, y0)
-    p10 = (x0 + dx, y0)
-    p01 = (x0, y0 + dy)
-    p11 = (x0 + dx, y0 + dy)
-
-    case = 0
-    if v00 >= level:
-        case |= 1
-    if v10 >= level:
-        case |= 2
-    if v11 >= level:
-        case |= 4
-    if v01 >= level:
-        case |= 8
-
-    if case in (0, 15):
-        return []
-
-    bottom = _interp(level, p00, p10, v00, v10)
-    right = _interp(level, p10, p11, v10, v11)
-    top = _interp(level, p01, p11, v01, v11)
-    left = _interp(level, p00, p01, v00, v01)
-
-    table: Dict[int, List[Tuple[Vec, Vec]]] = {
-        1: [(left, bottom)],
-        2: [(bottom, right)],
-        3: [(left, right)],
-        4: [(right, top)],
-        6: [(bottom, top)],
-        7: [(left, top)],
-        8: [(top, left)],
-        9: [(top, bottom)],
-        11: [(top, right)],
-        12: [(right, left)],
-        13: [(right, bottom)],
-        14: [(bottom, left)],
-    }
-    if case in table:
-        return table[case]
-
-    # Saddle cases 5 and 10: disambiguate with the centre average.
-    centre = (v00 + v10 + v01 + v11) / 4.0
-    if case == 5:
-        if centre >= level:
-            return [(left, top), (right, bottom)]
-        return [(left, bottom), (right, top)]
-    # case == 10
-    if centre >= level:
-        return [(bottom, right), (top, left)]
-    return [(bottom, left), (top, right)]
 
 
 def chain_segments(

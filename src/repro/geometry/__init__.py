@@ -55,16 +55,13 @@ from repro.geometry.voronoi import VoronoiCell, bounded_voronoi
 from repro.geometry.intervals import Interval, merge_intervals, subtract_intervals
 from repro.geometry.polyline import (
     polyline_length,
-    resample_polyline,
     stitch_segments_into_loops,
 )
 from repro.geometry.simplify import (
     chain_points,
     polyline_deviation,
     simplify_polyline,
-    simplify_polyline_reference,
     simplify_ring,
-    simplify_ring_reference,
 )
 
 __all__ = [
@@ -101,12 +98,9 @@ __all__ = [
     "merge_intervals",
     "subtract_intervals",
     "polyline_length",
-    "resample_polyline",
     "stitch_segments_into_loops",
     "chain_points",
     "polyline_deviation",
     "simplify_polyline",
-    "simplify_polyline_reference",
     "simplify_ring",
-    "simplify_ring_reference",
 ]

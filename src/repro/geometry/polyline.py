@@ -55,21 +55,24 @@ def polyline_length(points: Sequence[Vec]) -> float:
     return sum(dist(points[i], points[i + 1]) for i in range(len(points) - 1))
 
 
-def resample_polyline(points: Sequence[Vec], spacing: float) -> List[Vec]:
+def resample_polyline_fast(points: Sequence[Vec], spacing: float) -> List[Vec]:
     """Points along the polyline at (approximately) uniform ``spacing``.
 
-    Always includes the first and last input points.  Used to turn estimated
-    and true isolines into point sets for the Hausdorff-distance metric.
+    Samples sit at global arclengths ``spacing, 2 * spacing, ...``, plus
+    the first and last input points; the interpolation is one NumPy pass
+    over the cumulative segment lengths.  Used to turn estimated and true
+    isolines into point sets for the Hausdorff-distance metric.
 
-    Deviation contract with :func:`resample_polyline_fast` -- this is
-    the ONE kernel pair in the repo that is *not* pinned bit-identical,
-    and the exact deviation is bounded by a property test
+    Deviation contract with the scalar arclength walk in
+    ``tests/geometry/polyline_reference.py`` -- this is the ONE kernel
+    pair in the repo that is *not* pinned bit-identical, and the exact
+    deviation is bounded by a property test
     (``tests/geometry/test_polyline_resample_contract.py``):
 
     1. both outputs begin with ``points[0]`` and end with ``points[-1]``;
     2. their lengths differ by at most one sample -- both target global
        arclengths ``k * spacing``, but the scalar walk accumulates the
-       arclength prefix per segment while the fast path takes one
+       arclength prefix per segment while this kernel takes one
        ``cumsum``, so when a sample lands within floating-point noise of
        the total length one implementation emits it and the other does
        not; the extra sample lies within ``spacing`` of the final point;
@@ -83,44 +86,6 @@ def resample_polyline(points: Sequence[Vec], spacing: float) -> List[Vec]:
 
     The Hausdorff metric consuming these samples is insensitive to all
     three deviations.
-    """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    if len(points) == 0:
-        return []
-    if len(points) == 1:
-        return [points[0]]
-    out: List[Vec] = [points[0]]
-    cum = 0.0  # arclength at the current segment's start
-    k = 1  # next global sample index; target arclength is k * spacing
-    for i in range(len(points) - 1):
-        a, b = points[i], points[i + 1]
-        seg_len = dist(a, b)
-        if seg_len <= 0:
-            continue
-        end = cum + seg_len
-        s = k * spacing
-        while s <= end:
-            f = (s - cum) / seg_len
-            out.append((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
-            k += 1
-            s = k * spacing
-        cum = end
-    if out[-1] != points[-1]:
-        out.append(points[-1])
-    return out
-
-
-def resample_polyline_fast(points: Sequence[Vec], spacing: float) -> List[Vec]:
-    """Vectorized :func:`resample_polyline` (cumulative-arclength sampling).
-
-    Mathematically identical to the scalar walk -- samples sit at global
-    arclengths ``spacing, 2 * spacing, ...`` plus the first and last input
-    points -- but the interpolation is evaluated in one NumPy pass.  The
-    exact deviation contract between the two (length differs by at most
-    one boundary sample; common-prefix samples agree to 1e-6; both keep
-    the endpoints) is documented on :func:`resample_polyline` and bounded
-    by a property test; the Hausdorff metric is insensitive to it.
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")

@@ -19,12 +19,12 @@ endpoints within ``tolerance`` of one *convex* retained segment, so the
 whole original curve stays inside the tolerance tube; retained vertices
 are a subset of the original, so the reverse direction is immediate).
 
-Kernel pairing (the PR-1/PR-3 convention): the scalar reference
-:func:`simplify_polyline_reference` is retained next to the vectorized
-:func:`simplify_polyline`, both evaluating the *same* floating-point
-formula in the same order, so their outputs are **bit-identical** --
-pinned by the differential tests in ``tests/geometry/test_simplify.py``
-and re-verified by ``benchmarks/bench_simplify.py``.
+Kernel pairing: the scalar reference in
+``tests/geometry/simplify_reference.py`` evaluates the *same*
+floating-point formula as :func:`simplify_polyline`, in the same order,
+so their outputs are **bit-identical** -- pinned by the differential
+tests in ``tests/geometry/test_simplify.py`` and re-verified by
+``benchmarks/bench_simplify.py``.
 
 Closed rings (:func:`simplify_ring`) are split at two anchor vertices
 (the first vertex and the vertex farthest from it), each arc simplified
@@ -41,9 +41,7 @@ import numpy as np
 from repro.geometry.primitives import Vec
 
 __all__ = [
-    "simplify_polyline_reference",
     "simplify_polyline",
-    "simplify_ring_reference",
     "simplify_ring",
     "polyline_deviation",
     "chain_points",
@@ -54,39 +52,17 @@ __all__ = [
 # Shared distance formula (the pairing contract)
 # ----------------------------------------------------------------------
 #
-# Both kernels MUST evaluate exactly this expression, in this order, on
-# IEEE-754 doubles: t = clamp(((p-a).(b-a)) / |b-a|^2), e = (p-a) - t*(b-a),
-# d^2 = e.e.  NumPy float64 and Python floats share rounding for +,-,*,/,
-# so elementwise evaluation of the same expression is bitwise equal.
-
-
-def _seg_dist_sq(
-    px: float, py: float, ax: float, ay: float, bx: float, by: float
-) -> float:
-    """Squared distance from point ``p`` to segment ``a-b`` (scalar)."""
-    dx = bx - ax
-    dy = by - ay
-    apx = px - ax
-    apy = py - ay
-    denom = dx * dx + dy * dy
-    if denom > 0.0:
-        t = (apx * dx + apy * dy) / denom
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-    else:
-        t = 0.0
-    ex = apx - t * dx
-    ey = apy - t * dy
-    return ex * ex + ey * ey
+# The kernel and its scalar reference MUST evaluate exactly this
+# expression, in this order, on IEEE-754 doubles:
+# t = clamp(((p-a).(b-a)) / |b-a|^2), e = (p-a) - t*(b-a), d^2 = e.e.
+# NumPy float64 and Python floats share rounding for +,-,*,/, so
+# elementwise evaluation of the same expression is bitwise equal.
 
 
 def _span_dist_sq(pts: np.ndarray, i: int, j: int) -> np.ndarray:
     """Squared distances of vertices ``i+1 .. j-1`` to segment ``i-j``.
 
-    The vectorized twin of :func:`_seg_dist_sq` over one span -- same
-    expression, same operation order, elementwise.
+    The shared formula above, evaluated elementwise over one span.
     """
     ax, ay = pts[i, 0], pts[i, 1]
     dx = pts[j, 0] - ax
@@ -109,52 +85,16 @@ def _span_dist_sq(pts: np.ndarray, i: int, j: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def simplify_polyline_reference(
-    points: Sequence[Vec], tolerance: float
-) -> List[Vec]:
-    """Scalar Douglas-Peucker with the exact segment-tolerance guarantee.
-
-    Retained as the reference half of the kernel pair (see module
-    docstring).  Endpoints are always kept; with ``tolerance <= 0`` the
-    input is returned unchanged (the tolerance-0 identity the serving
-    differentials lean on).
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
-    n = len(points)
-    if tolerance == 0.0 or n <= 2:
-        return [(p[0], p[1]) for p in points]
-    tol_sq = tolerance * tolerance
-    keep = [False] * n
-    keep[0] = keep[n - 1] = True
-    stack: List[Tuple[int, int]] = [(0, n - 1)]
-    while stack:
-        i, j = stack.pop()
-        if j - i < 2:
-            continue
-        ax, ay = points[i][0], points[i][1]
-        bx, by = points[j][0], points[j][1]
-        worst = -1.0
-        worst_k = -1
-        for k in range(i + 1, j):
-            d = _seg_dist_sq(points[k][0], points[k][1], ax, ay, bx, by)
-            if d > worst:  # strict: first maximum wins, matching argmax
-                worst = d
-                worst_k = k
-        if worst > tol_sq:
-            keep[worst_k] = True
-            stack.append((i, worst_k))
-            stack.append((worst_k, j))
-    return [(points[k][0], points[k][1]) for k in range(n) if keep[k]]
-
-
 def simplify_polyline(points: Sequence[Vec], tolerance: float) -> List[Vec]:
-    """Vectorized Douglas-Peucker, bit-identical to the scalar reference.
+    """Douglas-Peucker with the exact segment-tolerance guarantee.
 
-    Same span recursion, same keep decisions: distances for a whole span
-    are evaluated in one NumPy pass with the shared formula, and
-    ``argmax`` picks the first maximum exactly as the scalar loop's
-    strict comparison does.
+    Endpoints are always kept; with ``tolerance == 0`` the input is
+    returned unchanged (the tolerance-0 identity the serving
+    differentials lean on), and a negative tolerance raises
+    ``ValueError``.  Distances for a whole span are evaluated in
+    one NumPy pass with the shared formula, and ``argmax`` picks the
+    first maximum, exactly as the scalar reference's strict comparison
+    does.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -271,18 +211,13 @@ def _simplify_ring_with(
     return out
 
 
-def simplify_ring_reference(points: Sequence[Vec], tolerance: float) -> List[Vec]:
-    """Scalar ring simplification (ring = vertex list, closed implicitly).
+def simplify_ring(points: Sequence[Vec], tolerance: float) -> List[Vec]:
+    """Ring simplification (ring = vertex list, closed implicitly).
 
     The starting vertex, vertex order and orientation (signed area sign)
     are preserved; the per-arc tolerance guarantee carries over to the
     ring because every dropped vertex belongs to exactly one arc.
     """
-    return _simplify_ring_with(points, tolerance, simplify_polyline_reference)
-
-
-def simplify_ring(points: Sequence[Vec], tolerance: float) -> List[Vec]:
-    """Vectorized ring simplification, bit-identical to the reference."""
     return _simplify_ring_with(points, tolerance, simplify_polyline)
 
 

@@ -5,13 +5,19 @@ thus providing an accuracy metric on the irregularity of the estimated
 isolines to the real ones."  Curves are resampled to dense point sets and
 the symmetric Hausdorff distance is computed on those.
 
-The point-set kernels are vectorized with blocked NumPy broadcasting and
-are bit-compatible with the retained scalar references (min/max/square
-are exact regardless of evaluation order); the differential tests in
-``tests/metrics`` pin the equality.  Empty-input policy: the point-set
-functions raise ``ValueError`` (an undefined supremum is a programming
-error at that layer), and :func:`isoline_hausdorff` is the *single* place
-where empty curve families are absorbed into ``None``.
+The point-set kernels are blocked NumPy broadcasts at every size.  NumPy
+squares an array (``** 2``) by multiplication, which is correctly
+rounded; min and max are exact in any order, and sqrt is monotone and
+correctly rounded.  So the kernels match the scalar oracle in
+``tests/metrics/hausdorff_reference.py`` bit for bit, which the
+differential tests pin.  (A Python float's ``** 2`` goes through C
+``pow``, which is not correctly rounded on every libm, so the oracle
+multiplies too.)
+
+Empty-input policy: the point-set functions raise ``ValueError`` (an
+undefined supremum is a programming error at that layer), and
+:func:`isoline_hausdorff` is the *single* place where empty curve
+families are absorbed into ``None``.
 """
 
 from __future__ import annotations
@@ -24,19 +30,15 @@ import numpy as np
 from repro import profiling
 from repro.field.base import ScalarField
 from repro.field.contours import extract_isolines
-from repro.geometry import Vec, resample_polyline
+from repro.geometry import Vec
 from repro.geometry.polyline import resample_polyline_fast
-
-#: Below this many pairwise distances the scalar loop beats NumPy setup.
-_VEC_MIN_PAIRS = 2048
 
 #: Scratch budget for one distance block (~16 MB of float64).
 _BLOCK_FLOATS = 1 << 21
 
 
-def directed_hausdorff_reference(a: Sequence[Vec], b: Sequence[Vec]) -> float:
-    """Scalar reference for :func:`directed_hausdorff` (retained for the
-    differential tests and benchmarks).
+def directed_hausdorff(a: Sequence[Vec], b: Sequence[Vec]) -> float:
+    """``sup_{p in a} inf_{q in b} |p - q|`` for finite point sets.
 
     Raises:
         ValueError: when either set is empty (the supremum/infimum would
@@ -44,32 +46,6 @@ def directed_hausdorff_reference(a: Sequence[Vec], b: Sequence[Vec]) -> float:
     """
     if not len(a) or not len(b):
         raise ValueError("directed Hausdorff distance needs non-empty sets")
-    worst = 0.0
-    for p in a:
-        best = min(
-            (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for q in b
-        )
-        if best > worst:
-            worst = best
-    return math.sqrt(worst)
-
-
-def directed_hausdorff(a: Sequence[Vec], b: Sequence[Vec]) -> float:
-    """``sup_{p in a} inf_{q in b} |p - q|`` for finite point sets.
-
-    Dispatches to a blocked-broadcast NumPy kernel when the pair count is
-    large enough to amortise array setup; both paths return bit-identical
-    results.
-
-    Raises:
-        ValueError: when either set is empty (the supremum/infimum would
-            be undefined).
-    """
-    na, nb = len(a), len(b)
-    if not na or not nb:
-        raise ValueError("directed Hausdorff distance needs non-empty sets")
-    if na * nb < _VEC_MIN_PAIRS:
-        return directed_hausdorff_reference(a, b)
     pa = np.asarray(a, dtype=float)
     pb = np.asarray(b, dtype=float)
     return math.sqrt(_directed_sq(pa, pb))
@@ -78,15 +54,12 @@ def directed_hausdorff(a: Sequence[Vec], b: Sequence[Vec]) -> float:
 def hausdorff_distance(a: Sequence[Vec], b: Sequence[Vec]) -> float:
     """Symmetric Hausdorff distance between two finite point sets.
 
-    The vectorized path computes both directed distances from the same
-    blocked distance matrix (row minima for ``a -> b``, running column
-    minima for ``b -> a``), so the pairwise distances are evaluated once.
+    Both directed distances come from one blocked distance matrix (row
+    minima for ``a -> b``, running column minima for ``b -> a``), so the
+    pairwise distances are evaluated once.
     """
-    na, nb = len(a), len(b)
-    if not na or not nb:
+    if not len(a) or not len(b):
         raise ValueError("directed Hausdorff distance needs non-empty sets")
-    if na * nb < _VEC_MIN_PAIRS:
-        return max(directed_hausdorff_reference(a, b), directed_hausdorff_reference(b, a))
     pa = np.asarray(a, dtype=float)
     pb = np.asarray(b, dtype=float)
     d_ab, d_ba = _directed_sq_both(pa, pb)
@@ -193,19 +166,6 @@ def _sample_all(polylines: Sequence[Sequence[Vec]], spacing: float) -> List[Vec]
     for line in polylines:
         if len(line) >= 2:
             pts.extend(resample_polyline_fast(list(line), spacing))
-        elif len(line):
-            pts.append(line[0])
-    return pts
-
-
-def _sample_all_reference(
-    polylines: Sequence[Sequence[Vec]], spacing: float
-) -> List[Vec]:
-    """Scalar-resample variant of :func:`_sample_all` (bench reference)."""
-    pts: List[Vec] = []
-    for line in polylines:
-        if len(line) >= 2:
-            pts.extend(resample_polyline(list(line), spacing))
         elif len(line):
             pts.append(line[0])
     return pts

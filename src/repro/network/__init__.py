@@ -23,7 +23,6 @@ from repro.network.deployment import grid_deployment, uniform_random_deployment
 from repro.network.topology import (
     CsrAdjacency,
     average_degree,
-    build_adjacency_reference,
     build_csr_adjacency,
     is_connected,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "SensorNode",
     "grid_deployment",
     "uniform_random_deployment",
-    "build_adjacency_reference",
     "build_csr_adjacency",
     "CsrAdjacency",
     "average_degree",

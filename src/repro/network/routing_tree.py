@@ -11,14 +11,13 @@ construction deterministic.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.geometry import Vec, dist
+from repro.geometry import Vec
 from repro.network.topology import CsrAdjacency
 
 
@@ -81,7 +80,8 @@ def build_routing_tree(
     """Breadth-first spanning tree over the alive communication graph.
 
     Array-frontier BFS + segmented parent argmin over a CSR graph,
-    equivalent to :func:`build_routing_tree_reference` result-for-result
+    equivalent to the scalar FIFO-BFS in
+    ``tests/network/routing_tree_reference.py`` result-for-result
     (pinned by a differential test): each BFS ring is discovered with one
     gather (first occurrence in the concatenated candidate array is
     exactly the FIFO discovery order), and parents are picked per node by
@@ -154,59 +154,6 @@ def build_routing_tree(
         ), "BFS-levelled node must have an upstream neighbour"
         parent_arr[non_sink] = nb[firsts]
     return RoutingTree(sink=sink, level=level_arr, parent=parent_arr)
-
-
-def build_routing_tree_reference(
-    positions: Sequence[Vec],
-    adjacency: Sequence[Iterable[int]],
-    sink: int,
-    alive: Optional[Sequence[bool]] = None,
-) -> RoutingTree:
-    """The scalar FIFO-BFS builder (differential-test reference).
-
-    ``adjacency`` holds each node's neighbours as a Python iterable; the
-    callers build those lists from the CSR themselves.
-    """
-    n = len(positions)
-    live = [True] * n if alive is None else list(alive)
-    if not 0 <= sink < n:
-        raise ValueError("sink index out of range")
-    if not live[sink]:
-        raise ValueError("the sink must be alive")
-
-    level: List[Optional[int]] = [None] * n
-    parent: List[Optional[int]] = [None] * n
-    sink_pos = positions[sink]
-
-    level[sink] = 0
-    queue = deque([sink])
-    # Plain BFS fixes levels; parents are then chosen among the
-    # (level - 1) neighbours by distance to the sink.
-    order: List[int] = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in adjacency[u]:
-            if live[v] and level[v] is None:
-                level[v] = level[u] + 1  # type: ignore[operator]
-                queue.append(v)
-
-    for u in order:
-        if u == sink:
-            continue
-        lu = level[u]
-        candidates = [
-            v for v in adjacency[u] if live[v] and level[v] == lu - 1  # type: ignore[operator]
-        ]
-        assert candidates, "BFS-levelled node must have an upstream neighbour"
-        best = min(candidates, key=lambda v: (dist(positions[v], sink_pos), v))
-        parent[u] = best
-
-    return RoutingTree(
-        sink=sink,
-        level=np.array([-1 if l is None else l for l in level], dtype=np.int64),
-        parent=np.array([-1 if p is None else p for p in parent], dtype=np.int64),
-    )
 
 
 def level_histogram(tree: RoutingTree) -> Dict[int, int]:

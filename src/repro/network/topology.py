@@ -8,17 +8,16 @@ bounded density.
 The hot kernels here are vectorized over a positions array: candidate
 pairs come from bucketed block comparisons on a sorted cell code instead
 of nested Python loops, and k-hop collection runs a frontier BFS on a CSR
-adjacency.  The pure-Python originals are kept as ``*_reference``
-implementations; differential tests assert the two agree exactly
-(including nodes exactly at ``radio_range`` and on bucket borders), and
-``benchmarks/bench_kernel.py`` tracks the speedup.
+adjacency.  The pure-Python original of the adjacency build lives in
+``tests/network/topology_reference.py``; differential tests assert the
+two agree exactly (including nodes exactly at ``radio_range`` and on
+bucket borders), and ``benchmarks/bench_kernel.py`` tracks the speedup.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +33,7 @@ def build_csr_adjacency(
     list is produced by the bucketed batch pass of :func:`_disk_edges`
     and laid out as CSR without ever materialising per-node Python
     collections.  The distance test is the same ``dx*dx + dy*dy <= r*r``
-    :func:`build_adjacency_reference` evaluates, in the same IEEE-754
+    the per-node reference loop evaluates, in the same IEEE-754
     arithmetic, so the edge set is identical -- only the candidate
     enumeration is batched.  Accepts a positions list or an ``(n, 2)``
     array; pass the array on hot paths.
@@ -166,46 +165,6 @@ def _disk_edges(
     return np.concatenate(ii_parts), np.concatenate(jj_parts)
 
 
-def build_adjacency_reference(
-    positions: Sequence[Vec], radio_range: float
-) -> List[Set[int]]:
-    """The original per-node spatial-hash loop, kept as the differential
-    and performance baseline for :func:`build_csr_adjacency`.
-
-    Returns ``adj[i]`` = the set of node indices within ``radio_range``
-    of node i (excluding i itself).
-    """
-    if radio_range <= 0:
-        raise ValueError("radio range must be positive")
-    n = len(positions)
-    adj: List[Set[int]] = [set() for _ in range(n)]
-    cell = radio_range
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for i, p in enumerate(positions):
-        key = (int(math.floor(p[0] / cell)), int(math.floor(p[1] / cell)))
-        buckets.setdefault(key, []).append(i)
-    r2 = radio_range * radio_range
-    for (kx, ky), members in buckets.items():
-        neighbours_cells = [
-            buckets.get((kx + dx, ky + dy), ())
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-        ]
-        for i in members:
-            xi, yi = positions[i]
-            for other_cell in neighbours_cells:
-                for j in other_cell:
-                    if j <= i:
-                        continue
-                    xj, yj = positions[j]
-                    dx = xi - xj
-                    dy = yi - yj
-                    if dx * dx + dy * dy <= r2:
-                        adj[i].add(j)
-                        adj[j].add(i)
-    return adj
-
-
 @dataclass(frozen=True)
 class CsrAdjacency:
     """Compressed-sparse-row view of an adjacency, for batched traversal.
@@ -299,7 +258,8 @@ class CsrAdjacency:
         ``h - 1`` or ``h - 2`` (BFS distances of adjacent nodes differ by
         at most one), so only those two rings are kept to filter against.
         Paths run through ``alive`` nodes only, and a source is never its
-        own pair (the semantics of the set-based :func:`k_hop_neighbors`).
+        own pair (the semantics of the set-based reference in
+        ``tests/network/topology_reference.py``).
 
         Args:
             sources: distinct node ids.
@@ -344,9 +304,12 @@ class CsrAdjacency:
     ) -> np.ndarray:
         """All nodes within ``k`` hops of ``start`` (excluding ``start``).
 
-        The one-source case of :meth:`k_hop_pairs`.  Returns a sorted
-        int64 array; agrees exactly with the set-based
-        :func:`k_hop_neighbors`.
+        Iso-Map's gradient estimation queries the k-hop neighbourhood
+        (Section 3.3: "the query scope can be adjusted within k-hop
+        neighbors"); k = 1 is the default.  The one-source case of
+        :meth:`k_hop_pairs`.  Returns a sorted int64 array; agrees
+        exactly with the set-based reference in
+        ``tests/network/topology_reference.py``.
         """
         return self.k_hop_pairs([start], k, alive)[1]
 
@@ -395,36 +358,3 @@ def is_connected(csr: CsrAdjacency, alive: Sequence[bool] = None) -> bool:
         return True  # vacuously connected
     seen = csr.flood(int(live_idx[0]), live)
     return int(seen.sum()) == int(live_idx.size)
-
-
-def k_hop_neighbors(
-    adj: Sequence[Set[int]], start: int, k: int, alive: Sequence[bool] = None
-) -> Set[int]:
-    """All nodes within ``k`` hops of ``start`` (excluding ``start``).
-
-    Iso-Map's gradient estimation queries the k-hop neighbourhood
-    (Section 3.3: "the query scope can be adjusted within k-hop
-    neighbors"); k = 1 is the default.
-
-    This is the set-based reference; the hot path goes through
-    :meth:`CsrAdjacency.k_hop_neighbors`, which returns the same nodes.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    n = len(adj)
-    live = [True] * n if alive is None else alive
-    seen = {start}
-    frontier = {start}
-    out: Set[int] = set()
-    for _ in range(k):
-        nxt: Set[int] = set()
-        for u in frontier:
-            for v in adj[u]:
-                if live[v] and v not in seen:
-                    seen.add(v)
-                    nxt.add(v)
-        out |= nxt
-        frontier = nxt
-        if not frontier:
-            break
-    return out

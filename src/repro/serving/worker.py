@@ -14,11 +14,19 @@ through epochs ``1 .. epoch - 1`` -- byte-identical to having computed
 them here all along.  That is also why the same function serves the
 inline (``n_shards = 0``) path: where the state lives cannot change
 what it produces.
+
+Inline, a compute that overruns its deadline cannot be killed: it keeps
+running on its executor thread after :func:`reset` has cleared the
+table, while the retry builds a fresh session.  Each :func:`reset` opens
+a new generation, and a compute installs the session it built only if
+its generation is still current, so an abandoned compute can never
+replace the retry's session with one it is still mutating.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from typing import Any, Dict
 
@@ -26,6 +34,10 @@ from repro.serving.session import SessionCompute, SessionConfig
 
 #: Per-process session table, keyed by query id.
 _SESSIONS: Dict[str, SessionCompute] = {}
+
+#: Bumped by every :func:`reset`; guarded, with the table, by ``_LOCK``.
+_GENERATION = 0
+_LOCK = threading.Lock()
 
 
 def compute_epoch(config_dict: Dict[str, Any], epoch: int) -> Dict[str, Any]:
@@ -41,18 +53,26 @@ def compute_epoch(config_dict: Dict[str, Any], epoch: int) -> Dict[str, Any]:
     if epoch < 1:
         raise ValueError("epoch must be >= 1")
     config = SessionConfig.from_dict(config_dict)
-    session = _SESSIONS.get(config.query_id)
+    with _LOCK:
+        generation = _GENERATION
+        session = _SESSIONS.get(config.query_id)
     if session is None or session.config != config or epoch < session.next_epoch:
         session = SessionCompute(config)
-        _SESSIONS[config.query_id] = session
+        with _LOCK:
+            if generation == _GENERATION:
+                _SESSIONS[config.query_id] = session
     while session.next_epoch < epoch:
         session.epoch(session.next_epoch)
     return session.epoch(epoch)
 
 
 def reset() -> None:
-    """Drop all per-process session state (test isolation hook)."""
-    _SESSIONS.clear()
+    """Drop all per-process session state (test isolation hook), and
+    keep computes still running from before the reset out of the table."""
+    global _GENERATION
+    with _LOCK:
+        _GENERATION += 1
+        _SESSIONS.clear()
 
 
 def ping() -> int:

@@ -2,8 +2,8 @@
 
 Three layers:
 
-1. **Kernel pairs** -- the scalar ``*_reference`` twins and their
-   vectorized NumPy twins must agree *bit-identically* (same IEEE
+1. **Kernel pairs** -- the scalar ``*_reference`` twins
+   (``prediction_reference.py``) and the bank's NumPy kernels must agree *bit-identically* (same IEEE
    elementwise expressions), pinned on random inputs via hypothesis.
 2. **Bank behaviour** -- LMS convergence on constant drift, the
    heartbeat staleness bound, coverage-lease ghost retraction, ghost
@@ -26,17 +26,19 @@ from repro.core.prediction import (
     PredictorBank,
     Track,
     advance_tracks_batch,
-    advance_tracks_reference,
     join_accept_batch,
-    join_accept_reference,
     report_angle,
     track_accept_batch,
-    track_accept_reference,
     wrap_angle,
     wrap_angle_batch,
 )
 from repro.core.reports import IsolineReport
 from repro.geometry import BoundingBox
+from tests.core.prediction_reference import (
+    advance_tracks_reference,
+    join_accept_reference,
+    track_accept_reference,
+)
 
 BOUNDS = BoundingBox(0.0, 0.0, 20.0, 20.0)
 

@@ -4,8 +4,9 @@ The sink pipeline swaps three inner kernels (all-pairs dedupe -> spatial
 hash, sorted Voronoi -> prefiltered Voronoi, rescanning boundary
 extraction -> edge-indexed extraction) while claiming bit-identical
 output.  These tests pin each swap and then the whole composition:
-``build_level_region`` against ``build_level_region_reference`` must
-agree on every float of every cell, loop and statistic.
+``build_level_region`` against ``build_level_region_reference``
+(``reconstruction_reference.py``) must agree on every float of every
+cell, loop and statistic.
 """
 
 import math
@@ -16,12 +17,15 @@ import pytest
 from repro.core.reconstruction import (
     DEDUPE_TOL,
     _dedupe_reports,
-    _dedupe_reports_reference,
     build_level_region,
-    build_level_region_reference,
 )
 from repro.core.reports import IsolineReport
 from repro.geometry import BoundingBox
+from tests.core.reconstruction_reference import (
+    assert_regions_identical,
+    build_level_region_reference,
+    dedupe_reports_reference,
+)
 
 BOX = BoundingBox(0, 0, 50, 50)
 
@@ -62,7 +66,7 @@ class TestDedupeDifferential:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_all_pairs_reference(self, seed):
         reports = noisy_reports(120, seed)
-        assert _dedupe_reports(reports) == _dedupe_reports_reference(reports)
+        assert _dedupe_reports(reports) == dedupe_reports_reference(reports)
 
     def test_exact_duplicates_first_wins(self):
         reports = ring_reports(10)
@@ -71,7 +75,7 @@ class TestDedupeDifferential:
         ]
         got = _dedupe_reports(doubled)
         assert got == reports  # originals kept, clones dropped
-        assert got == _dedupe_reports_reference(doubled)
+        assert got == dedupe_reports_reference(doubled)
 
     def test_survivors_are_pairwise_separated(self):
         got = _dedupe_reports(noisy_reports(150, seed=42))
@@ -89,42 +93,28 @@ class TestDedupeDifferential:
         b = IsolineReport(8.0, (k * DEDUPE_TOL + 0.2 * DEDUPE_TOL, 5.0), (1.0, 0.0), 1)
         far = IsolineReport(8.0, (10.0, 10.0), (0.0, 1.0), 2)
         reports = [a, b, far]
-        assert _dedupe_reports(reports) == _dedupe_reports_reference(reports) == [a, far]
+        assert _dedupe_reports(reports) == dedupe_reports_reference(reports) == [a, far]
 
 
 class TestRegionDifferential:
-    def assert_regions_identical(self, got, want):
-        assert got.reports == want.reports
-        assert len(got.cells) == len(want.cells)
-        for cg, cw in zip(got.cells, want.cells):
-            assert cg.polygon.vertices == cw.polygon.vertices
-            assert cg.polygon.labels == cw.polygon.labels
-            assert cg.neighbors == cw.neighbors
-        assert [p.vertices for p in got.inner_polys] == [
-            p.vertices for p in want.inner_polys
-        ]
-        assert got.loops == want.loops
-        assert got.regulated_loops == want.regulated_loops
-        assert got.regulation_stats == want.regulation_stats
-
     @pytest.mark.parametrize("n,seed", [(60, 1), (90, 2), (130, 3)])
     def test_ring_regions_identical(self, n, seed):
         reports = ring_reports(n, seed=seed)
-        self.assert_regions_identical(
+        assert_regions_identical(
             build_level_region(8.0, reports, BOX),
             build_level_region_reference(8.0, reports, BOX),
         )
 
     def test_noisy_region_identical(self):
         reports = noisy_reports(100, seed=7)
-        self.assert_regions_identical(
+        assert_regions_identical(
             build_level_region(8.0, reports, BOX),
             build_level_region_reference(8.0, reports, BOX),
         )
 
     def test_unregulated_region_identical(self):
         reports = ring_reports(70, seed=11)
-        self.assert_regions_identical(
+        assert_regions_identical(
             build_level_region(8.0, reports, BOX, regulate=False),
             build_level_region_reference(8.0, reports, BOX, regulate=False),
         )
@@ -133,7 +123,7 @@ class TestRegionDifferential:
         # Below the Voronoi batch threshold both paths share the scalar
         # clipper; the dedupe/boundary swaps must still agree.
         reports = ring_reports(12, seed=13)
-        self.assert_regions_identical(
+        assert_regions_identical(
             build_level_region(8.0, reports, BOX),
             build_level_region_reference(8.0, reports, BOX),
         )

@@ -26,6 +26,7 @@ from repro.core.contour_map import SinkReconstructor, build_contour_map
 from repro.core.reconstruction import ReconstructionCache, build_level_region
 from repro.core.reports import IsolineReport
 from repro.geometry import BoundingBox
+from tests.core.reconstruction_reference import assert_regions_identical
 
 BOX = BoundingBox(0, 0, 100, 100)
 LEVEL = 8.0
@@ -112,31 +113,6 @@ def storm_epochs(n_pool, seed, epochs):
                 else:
                     active.add(k)
         yield reports_from(pool, active)
-
-
-# ----------------------------------------------------------------------
-# Exact-equality helper
-# ----------------------------------------------------------------------
-
-
-def assert_regions_identical(got, want):
-    """Every float, label and index must match exactly (no tolerance)."""
-    assert got.isolevel == want.isolevel
-    assert got.reports == want.reports
-    assert len(got.cells) == len(want.cells)
-    for ca, cb in zip(got.cells, want.cells):
-        assert ca.site_index == cb.site_index
-        assert ca.site == cb.site
-        assert ca.polygon.vertices == cb.polygon.vertices
-        assert ca.polygon.labels == cb.polygon.labels
-        assert ca.neighbors == cb.neighbors
-    assert len(got.inner_polys) == len(want.inner_polys)
-    for pa, pb in zip(got.inner_polys, want.inner_polys):
-        assert pa.vertices == pb.vertices
-        assert pa.labels == pb.labels
-    assert got.loops == want.loops
-    assert got.regulated_loops == want.regulated_loops
-    assert got.regulation_stats == want.regulation_stats
 
 
 def run_differential(epoch_iter, **cache_kwargs):

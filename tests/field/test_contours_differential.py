@@ -1,8 +1,8 @@
 """Differential tests: vectorized marching squares vs the scalar loop.
 
 ``extract_isolines`` classifies all grid squares in one array pass;
-``extract_isolines_reference`` walks them one by one through
-``_square_segments``.  The vectorized interpolation reuses the exact
+``extract_isolines_reference`` (``contours_reference.py``) walks them one
+by one.  The vectorized interpolation reuses the exact
 rounded corner differences the scalar path computes, so the outputs must
 be *identical* -- same segments, same chaining, same floats -- including
 on saddle squares and exact level-touch corners.  Random grids around
@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from repro.field import make_harbor_field
-from repro.field.contours import extract_isolines, extract_isolines_reference
+from repro.field.contours import extract_isolines
 from repro.field.grid_field import SampledGridField
 from repro.field.synthetic import PlaneField, RadialField
 from repro.geometry import BoundingBox
+from tests.field.contours_reference import extract_isolines_reference
 
 BOX = BoundingBox(0, 0, 50, 50)
 

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.geometry import polyline_length, resample_polyline, stitch_segments_into_loops
+from repro.geometry import polyline_length, stitch_segments_into_loops
 from repro.geometry.polyline import (
     TYPE1,
     TYPE2,
     BoundarySegment,
     loop_is_closed,
     loop_points,
+    resample_polyline_fast,
 )
 
 
@@ -22,7 +23,7 @@ class TestPolylineBasics:
         assert polyline_length([(0, 0)]) == 0.0
 
     def test_resample_spacing(self):
-        pts = resample_polyline([(0, 0), (10, 0)], spacing=1.0)
+        pts = resample_polyline_fast([(0, 0), (10, 0)], spacing=1.0)
         assert len(pts) == 11
         assert pts[0] == (0, 0)
         assert pts[-1] == (10, 0)
@@ -30,17 +31,17 @@ class TestPolylineBasics:
             assert polyline_length(pts[i : i + 2]) == pytest.approx(1.0, abs=1e-6)
 
     def test_resample_includes_endpoints(self):
-        pts = resample_polyline([(0, 0), (1, 0), (1, 1)], spacing=0.7)
+        pts = resample_polyline_fast([(0, 0), (1, 0), (1, 1)], spacing=0.7)
         assert pts[0] == (0, 0)
         assert pts[-1] == (1, 1)
 
     def test_resample_invalid_spacing(self):
         with pytest.raises(ValueError):
-            resample_polyline([(0, 0), (1, 1)], spacing=0)
+            resample_polyline_fast([(0, 0), (1, 1)], spacing=0)
 
     def test_resample_empty(self):
-        assert resample_polyline([], 1.0) == []
-        assert resample_polyline([(2, 2)], 1.0) == [(2, 2)]
+        assert resample_polyline_fast([], 1.0) == []
+        assert resample_polyline_fast([(2, 2)], 1.0) == [(2, 2)]
 
 
 class TestStitching:

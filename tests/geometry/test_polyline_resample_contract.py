@@ -1,9 +1,10 @@
 """The resampler pair's deviation contract, bounded as a property.
 
-``resample_polyline`` / ``resample_polyline_fast`` are the repo's one
-kernel pair that is *not* bit-identical (per-segment remainder walk vs
-one cumulative-sum pass).  The exact deviation is documented on
-:func:`repro.geometry.polyline.resample_polyline` as a three-point
+``resample_polyline_fast`` and its scalar reference
+(``polyline_reference.py``) are the repo's one kernel pair that is *not*
+bit-identical (per-segment remainder walk vs one cumulative-sum pass).
+The exact deviation is documented on
+:func:`repro.geometry.polyline.resample_polyline_fast` as a three-point
 contract; this suite pins each point on random polylines so a change
 that widens the deviation (instead of just reordering ULPs) fails here
 rather than silently degrading the Hausdorff metric downstream:
@@ -20,7 +21,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.polyline import resample_polyline, resample_polyline_fast
+from repro.geometry.polyline import resample_polyline_fast
+from tests.geometry.polyline_reference import resample_polyline_reference
 
 coords = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -30,7 +32,7 @@ spacings = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 
 
 def assert_contract(line, spacing):
-    ref = resample_polyline(line, spacing)
+    ref = resample_polyline_reference(line, spacing)
     fast = resample_polyline_fast(line, spacing)
 
     # 1. endpoints kept by both.

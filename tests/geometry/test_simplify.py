@@ -4,7 +4,7 @@ The contract under test (module docstring of
 :mod:`repro.geometry.simplify`):
 
 - **pairing**: the vectorized kernels are bit-identical to their scalar
-  references on any input;
+  references (``simplify_reference.py``) on any input;
 - **guarantee**: every original vertex lies within the tolerance of the
   simplified curve (point-to-segment, which bounds the symmetric
   Hausdorff distance);
@@ -25,8 +25,10 @@ from repro.geometry.simplify import (
     chain_points,
     polyline_deviation,
     simplify_polyline,
-    simplify_polyline_reference,
     simplify_ring,
+)
+from tests.geometry.simplify_reference import (
+    simplify_polyline_reference,
     simplify_ring_reference,
 )
 

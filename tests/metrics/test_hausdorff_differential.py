@@ -1,7 +1,8 @@
 """Differential tests for the vectorized Hausdorff/resample pipeline.
 
 ``directed_hausdorff`` and ``hausdorff_distance`` are blocked-broadcast
-NumPy kernels claimed *bit-identical* to the scalar references (min/max
+NumPy kernels claimed *bit-identical* to the scalar oracle in
+``hausdorff_reference.py`` (squares by multiplication; min/max
 reductions are order-exact; sqrt is monotone and correctly rounded) --
 pinned here with ``==``, not ``approx``.  ``resample_polyline_fast``
 is only tolerance-compatible (cumulative sums reassociate the arclength
@@ -17,18 +18,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.field.synthetic import RadialField
-from repro.geometry import BoundingBox, polyline_length, resample_polyline
+from repro.geometry import BoundingBox, polyline_length
 from repro.geometry.polyline import resample_polyline_fast
 from repro.metrics.hausdorff import (
-    _VEC_MIN_PAIRS,
     directed_hausdorff,
-    directed_hausdorff_reference,
     hausdorff_distance,
     isoline_hausdorff,
     mean_isoline_hausdorff,
 )
+from tests.geometry.polyline_reference import resample_polyline_reference
+from tests.metrics.hausdorff_reference import directed_hausdorff_reference
 
 
 def cloud(n, seed, lo=0.0, hi=50.0):
@@ -41,13 +44,6 @@ class TestDirectedHausdorffDifferential:
     def test_bit_identical_to_reference(self, na, nb):
         a, b = cloud(na, seed=na), cloud(nb, seed=nb + 1)
         assert directed_hausdorff(a, b) == directed_hausdorff_reference(a, b)
-
-    def test_dispatch_threshold_is_invisible(self):
-        # Sizes straddling the vectorization cutover must agree exactly.
-        side = int(math.isqrt(_VEC_MIN_PAIRS))
-        for n in (side - 1, side, side + 1):
-            a, b = cloud(n, seed=3), cloud(n, seed=4)
-            assert directed_hausdorff(a, b) == directed_hausdorff_reference(a, b)
 
     def test_blocking_is_invisible(self, monkeypatch):
         # Force tiny blocks so one call spans many chunks; still exact.
@@ -73,6 +69,43 @@ class TestDirectedHausdorffDifferential:
             hausdorff_distance([], [])
 
 
+@st.composite
+def scaled_set_pairs(draw):
+    """Two point sets of 1-60 points, coordinates in ``[0, scale]``."""
+    scale = draw(st.sampled_from([1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4]))
+    unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    sets = st.lists(st.tuples(unit, unit), min_size=1, max_size=60)
+    a, b = draw(sets), draw(sets)
+    return (
+        [(x * scale, y * scale) for x, y in a],
+        [(x * scale, y * scale) for x, y in b],
+    )
+
+
+# Both examples are single pairs whose squared distance rounds
+# differently when squared with ``**`` (C ``pow``) than with ``*``.
+@example(
+    (
+        [(0.034461915690932265, 0.08637423154480339)],
+        [(0.18376387725930768, 0.08915165624057335)],
+    )
+)
+@example(
+    (
+        [(124.00780940893668, 134.85376402526126)],
+        [(14.447304106468069, 94.99380189166467)],
+    )
+)
+@given(sets=scaled_set_pairs())
+@settings(max_examples=200, deadline=None)
+def test_small_sets_bit_identical_to_reference(sets):
+    a, b = sets
+    assert directed_hausdorff(a, b) == directed_hausdorff_reference(a, b)
+    assert hausdorff_distance(a, b) == max(
+        directed_hausdorff_reference(a, b), directed_hausdorff_reference(b, a)
+    )
+
+
 class TestResampleDifferential:
     @pytest.mark.parametrize("seed", range(5))
     def test_fast_matches_scalar_within_spacing_tolerance(self, seed):
@@ -82,7 +115,7 @@ class TestResampleDifferential:
             x = k * 0.7
             pts.append((x, 5 * math.sin(0.4 * x) + rng.uniform(-0.3, 0.3)))
         spacing = 0.25
-        ref = resample_polyline(pts, spacing)
+        ref = resample_polyline_reference(pts, spacing)
         fast = resample_polyline_fast(pts, spacing)
         # The cumulative-length formulation may gain/lose one sample at
         # the very end; every shared sample agrees to well under the
@@ -95,10 +128,11 @@ class TestResampleDifferential:
         assert math.dist(fast[-1], pts[-1]) <= spacing + 1e-9
 
     def test_degenerate_inputs_match(self):
-        assert resample_polyline_fast([], 1.0) == resample_polyline([], 1.0)
-        assert resample_polyline_fast([(2, 3)], 1.0) == resample_polyline([(2, 3)], 1.0)
+        ref = resample_polyline_reference
+        assert resample_polyline_fast([], 1.0) == ref([], 1.0)
+        assert resample_polyline_fast([(2, 3)], 1.0) == ref([(2, 3)], 1.0)
         two = [(0.0, 0.0), (1.0, 0.0)]
-        assert resample_polyline_fast(two, 10.0) == resample_polyline(two, 10.0)
+        assert resample_polyline_fast(two, 10.0) == ref(two, 10.0)
 
     def test_fast_sample_spacing_property(self):
         pts = [(0.0, 0.0), (3.0, 4.0), (6.0, 0.0), (10.0, 0.0)]

@@ -1,8 +1,9 @@
 """Differential tests: CSR frontier-BFS tree builder vs the scalar reference.
 
 ``build_routing_tree`` runs the vectorized frontier-array BFS over a
-:class:`CsrAdjacency`; ``build_routing_tree_reference`` runs the scalar
-FIFO-BFS over per-node neighbour lists read off the same CSR.  Both must
+:class:`CsrAdjacency`; ``build_routing_tree_reference``
+(``routing_tree_reference.py``) runs the scalar FIFO-BFS over per-node
+neighbour lists read off the same CSR.  Both must
 produce the *identical* tree -- levels and parents (including distance
 tie-breaks) -- on any graph and any liveness mask.
 """
@@ -15,12 +16,10 @@ import pytest
 from repro.field import RadialField
 from repro.geometry import BoundingBox
 from repro.network import SensorNetwork
-from repro.network.routing_tree import (
-    build_routing_tree,
-    build_routing_tree_reference,
-)
+from repro.network.routing_tree import build_routing_tree
 from repro.network.topology import build_csr_adjacency
 from tests.network.neighbourhoods import neighbour_lists
+from tests.network.routing_tree_reference import build_routing_tree_reference
 
 BOX = BoundingBox(0, 0, 20, 20)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.geometry import BoundingBox, dist
 from repro.network import average_degree, build_csr_adjacency, is_connected
-from repro.network.topology import k_hop_neighbors
 from tests.network.neighbourhoods import disk_sets
 
 BOX = BoundingBox(0, 0, 10, 10)
@@ -97,29 +96,27 @@ class TestDegreeAndConnectivity:
 
 class TestKHop:
     def test_one_hop_equals_adjacency(self):
-        pts = [(i, 0) for i in range(5)]
-        adj = disk_sets(pts, radio_range=1.0)
-        assert k_hop_neighbors(adj, 2, 1) == adj[2]
+        csr = build_csr_adjacency([(i, 0) for i in range(5)], radio_range=1.0)
+        assert csr.k_hop_neighbors(2, 1).tolist() == csr.neighbors(2).tolist()
 
     def test_two_hops_on_a_line(self):
-        pts = [(i, 0) for i in range(7)]
-        adj = disk_sets(pts, radio_range=1.0)
-        assert k_hop_neighbors(adj, 3, 2) == {1, 2, 4, 5}
+        csr = build_csr_adjacency([(i, 0) for i in range(7)], radio_range=1.0)
+        assert csr.k_hop_neighbors(3, 2).tolist() == [1, 2, 4, 5]
 
     def test_zero_hops(self):
-        pts = [(0, 0), (1, 0)]
-        adj = disk_sets(pts, radio_range=1.0)
-        assert k_hop_neighbors(adj, 0, 0) == set()
+        csr = build_csr_adjacency([(0, 0), (1, 0)], radio_range=1.0)
+        assert csr.k_hop_neighbors(0, 0).tolist() == []
 
     def test_respects_alive_mask(self):
-        pts = [(i, 0) for i in range(5)]
-        adj = disk_sets(pts, radio_range=1.0)
+        csr = build_csr_adjacency([(i, 0) for i in range(5)], radio_range=1.0)
         # Node 1 is dead: nothing beyond it is reachable from node 0.
-        assert k_hop_neighbors(adj, 0, 4, alive=[True, False, True, True, True]) == set()
+        alive = [True, False, True, True, True]
+        assert csr.k_hop_neighbors(0, 4, alive=alive).tolist() == []
 
     def test_negative_k_raises(self):
+        csr = build_csr_adjacency([(0, 0)], radio_range=1.0)
         with pytest.raises(ValueError):
-            k_hop_neighbors([set()], 0, -1)
+            csr.k_hop_neighbors(0, -1)
 
 
 @given(

@@ -5,7 +5,7 @@ The vectorized kernels (:func:`build_csr_adjacency`,
 :meth:`CsrAdjacency.k_hop_neighbors`) must agree *exactly* -- same sets,
 not approximately the same -- with both a quadratic brute-force oracle
 and the original per-node spatial-hash implementation
-(:func:`build_adjacency_reference`).  The hard cases are pairs exactly at
+(``build_adjacency_reference`` in ``topology_reference.py``).  The hard cases are pairs exactly at
 ``radio_range`` (boundary inclusion) and nodes sitting on spatial-hash
 bucket borders (coordinates that are exact multiples of the cell size,
 including negative ones), where an off-by-one in the cell offsets drops
@@ -20,9 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import build_adjacency_reference, build_csr_adjacency
-from repro.network.topology import k_hop_neighbors
+from repro.network import build_csr_adjacency
 from tests.network.neighbourhoods import disk_sets, neighbour_sets
+from tests.network.topology_reference import (
+    build_adjacency_reference,
+    k_hop_neighbors,
+)
 
 
 def brute_force_adjacency(positions, radio_range):

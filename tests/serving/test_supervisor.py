@@ -8,6 +8,8 @@ and the close-paths that must never hang even with a wedged worker.
 """
 
 import asyncio
+import sys
+import threading
 import time
 
 import pytest
@@ -25,8 +27,9 @@ from repro.serving.errors import (
     EpochComputeFailed,
     ShardUnavailableError,
 )
+from repro.serving import worker
 from repro.serving.router import MapService
-from repro.serving.session import SessionConfig
+from repro.serving.session import SessionCompute, SessionConfig
 from repro.serving.supervisor import (
     CircuitBreaker,
     SupervisedShardPool,
@@ -255,6 +258,105 @@ def test_genuine_hang_detected_by_deadline():
         pool.close()
 
     asyncio.run(main())
+
+
+@pytest.mark.deadline(60)
+def test_abandoned_inline_compute_cannot_take_over_its_session(monkeypatch):
+    """Inline, a compute that blows its deadline keeps running on its
+    executor thread after the reset.  If it was still building its
+    session, finishing later must not install that session over the
+    retry's, and the stream after the retry is the clean run's."""
+    config = _config("abandoned")
+    clean = SessionCompute(config)
+    truth = [clean.epoch(e)["delta"] for e in (1, 2, 3)]
+
+    built = []
+    release = threading.Event()
+
+    class FirstBuildOverruns(SessionCompute):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            built.append(self)
+            if len(built) == 1:
+                release.wait(10)
+
+    monkeypatch.setattr(worker, "SessionCompute", FirstBuildOverruns)
+    worker.reset()
+    pool = SupervisedShardPool(
+        0,
+        supervision=SupervisorConfig(
+            compute_timeout=0.2, backoff_base=0.002, backoff_cap=0.01
+        ),
+    )
+
+    async def first_epoch():
+        try:
+            return await pool.compute(config, 1)
+        finally:
+            release.set()
+
+    # asyncio.run joins the default executor's threads before returning,
+    # so the abandoned compute has finished by then.
+    first = asyncio.run(first_epoch())
+    assert len(built) == 2
+    assert worker._SESSIONS[config.query_id] is built[1]
+
+    async def later_epochs():
+        return [await pool.compute(config, e) for e in (2, 3)]
+
+    deltas = [first["delta"]] + [r["delta"] for r in asyncio.run(later_epochs())]
+    assert deltas == truth
+    status = pool.status()[0]
+    assert status["hangs"] == 1 and status["restarts"] == 1
+    pool.close()
+
+
+@pytest.mark.deadline(60)
+def test_session_table_never_keeps_a_build_from_before_a_reset(monkeypatch):
+    """Stress the table under resets: computes on more threads than
+    cores, a short switch interval, and resets until they finish.  After
+    each reset the table must never hold a session built before it."""
+
+    class Session:
+        def __init__(self, config):
+            self.config = config
+            self.next_epoch = 1
+            self.generation = worker._GENERATION
+            time.sleep(0)  # let a reset land mid-build
+
+        def epoch(self, e):
+            self.next_epoch = e + 1
+            return {}
+
+    monkeypatch.setattr(worker, "SessionCompute", Session)
+    config = _config("stress").to_dict()
+
+    def computes():
+        for e in range(1, 200):
+            worker.compute_epoch(config, 1 + e % 3)
+
+    stale = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=computes) for _ in range(6)]
+        for t in threads:
+            t.start()
+        while any(t.is_alive() for t in threads):
+            worker.reset()
+            time.sleep(0)
+            with worker._LOCK:
+                stale += sum(
+                    s.generation < worker._GENERATION
+                    for s in worker._SESSIONS.values()
+                )
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert stale == 0
+    worker.reset()
 
 
 # ----------------------------------------------------------------------
