@@ -65,7 +65,6 @@ def _config(n_nodes: int) -> SessionConfig:
 def _supervision(compute_timeout: float) -> SupervisorConfig:
     return SupervisorConfig(
         compute_timeout=compute_timeout,
-        probe_timeout=1.0,
         backoff_base=0.002,
         backoff_cap=0.02,
     )

@@ -110,11 +110,11 @@ class Region:
 class INLRProtocol:
     """In-network contour-region aggregation.
 
+    Regions whose retained points come within twice the radio range are
+    mergeable.
+
     Args:
         levels: isolevels defining the bands.
-        adjacency_range: regions whose retained points come within this
-            distance are mergeable (defaults to twice the radio range at
-            run time when None).
     """
 
     name = "inlr"
@@ -122,25 +122,19 @@ class INLRProtocol:
     def __init__(
         self,
         levels: Sequence[float],
-        adjacency_range: float = None,
         fault_plan: Optional[FaultPlan] = None,
         transport_config: Optional[TransportConfig] = None,
     ):
         if not levels:
             raise ValueError("need at least one isolevel")
         self.levels = sorted(levels)
-        self.adjacency_range = adjacency_range
         self.fault_plan = fault_plan
         self.transport_config = transport_config
 
     def run(self, network: SensorNetwork) -> ProtocolRun:
         costs = CostAccountant(network.n_nodes)
         disseminate_query(network, QUERY_BYTES, costs)
-        adjacency = (
-            self.adjacency_range
-            if self.adjacency_range is not None
-            else 2.0 * network.radio_range
-        )
+        adjacency = 2.0 * network.radio_range
         transport = EpochTransport(
             network, costs, config=self.transport_config, plan=self.fault_plan
         )

@@ -174,7 +174,7 @@ class IsolineAggregationProtocol:
             return True
 
         for source, level in isoline_nodes.items():
-            rid = transport.register(group=level)
+            rid = transport.register()
             if offer(source, source, level):
                 outbox.setdefault(source, []).append((source, rid))
             else:

@@ -20,8 +20,8 @@ not sources:
   the source id of the last node whose delivered report refreshed it;
 - every epoch all tracks **dead-reckon** one step (``p += v``,
   ``theta += omega``); a node whose fresh observation lands within the
-  configured tolerances of a track's prediction sends nothing, and both
-  mirrors keep serving the extrapolated state;
+  position and angle tolerances of a track's prediction sends nothing,
+  and both mirrors keep serving the extrapolated state;
 - a delivered report **corrects** the matching track by a stochastic
   gradient step (``v += mu * innovation``) and re-keys it to the
   reporting source, so tracks glide across the deployment following
@@ -60,8 +60,8 @@ path byte-identical to the pre-prediction goldens
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,91 +76,68 @@ TWO_PI = 2.0 * math.pi
 # ----------------------------------------------------------------------
 
 
+#: Gradient-direction innovation (degrees) above which a report is sent
+#: even if its position predicted well.
+ANGLE_TOLERANCE_DEG = 35.0
+
+#: LMS step for the position velocity (``v += mu * (observed - predicted)``).
+LEARNING_RATE = 0.3
+
+#: LMS step for the angular velocity.
+ANGLE_LEARNING_RATE = 0.3
+
+#: How far from a track's prediction a delivered report can re-key
+#: (adopt) it, as a multiple of ``position_tolerance``.  It must cover one
+#: epoch of unlearned drift plus the node spacing, or every churn event
+#: spawns a fresh zero-velocity track and nothing is learned.
+MATCH_RADIUS = 2.0
+
+#: Coverage lease, in epochs.  A track that covered *no* observation (own
+#: or join, suppressed or sent) for this many consecutive epochs is a
+#: ghost gliding through empty space; its last lease holder retracts it
+#: instead of letting it deposit bogus samples until the heartbeat
+#: eviction.
+LEASE = 1
+
+#: Cap on the learned speed, as a multiple of ``position_tolerance`` per
+#: epoch.  The LMS step on an adoption offset can overshoot the true drift
+#: by up to ``LEARNING_RATE * match radius``; the clamp keeps one bad
+#: offset from launching the track across the field.
+VELOCITY_CLAMP = 1.0
+
+
 @dataclass(frozen=True)
 class PredictionConfig:
-    """Tuning of the model-predictive suppressor (frozen, JSON-able).
+    """Tuning of the model-predictive suppressor (frozen).
 
     Attributes:
         position_tolerance: a fresh observation within this distance of
-            its track's prediction (and within ``angle_tolerance_deg``)
-            is suppressed.  This is the knob the traffic/accuracy trade
-            hangs on: the served map may deviate from the field by about
-            this much before a report is forced.
-        angle_tolerance_deg: gradient-direction innovation (degrees)
-            above which a report is sent even if the position predicted
-            well.
-        learning_rate: LMS step for the position velocity
-            (``v += mu * (observed - predicted)``).
-        angle_learning_rate: LMS step for the angular velocity.
+            its track's prediction (and within
+            :data:`ANGLE_TOLERANCE_DEG`) is suppressed.  This is the knob
+            the traffic/accuracy trade hangs on: the served map may
+            deviate from the field by about this much before a report is
+            forced.
         heartbeat: maximum *consecutive* extrapolated epochs per track.
             A node suppresses only while its track's age is within the
             cap; past it the report is forced (a heartbeat), and a track
             nobody refreshes is evicted -- so sink staleness is bounded
             by ``heartbeat`` epochs even when deltas are lost.
-        match_radius: how far from a track's prediction a delivered
-            report can re-key (adopt) it.  Must cover one epoch of
-            unlearned drift plus the node spacing, or every churn event
-            spawns a fresh zero-velocity track and nothing is learned.
-        lease: coverage lease, in epochs.  A track that covered *no*
-            observation (own or join, suppressed or sent) for this many
-            consecutive epochs is a ghost gliding through empty space;
-            its last lease holder retracts it instead of letting it
-            deposit bogus samples until the heartbeat eviction.
-        velocity_clamp: cap on the learned speed, as a multiple of
-            ``position_tolerance`` per epoch.  The LMS step on an
-            adoption offset can overshoot the true drift by up to
-            ``mu * match_radius``; the clamp keeps one bad offset from
-            launching the track across the field.
 
-    The bank always runs the ``*_batch`` kernels; their scalar
-    ``*_reference`` twins are the tests' kernel-pair oracles
-    (``tests/core/prediction_reference.py``).
+    The angle gate, LMS steps, match radius, coverage lease and velocity
+    clamp are the module constants above; the bank reads them at each
+    call, so a test can patch them.  The bank always runs the
+    ``*_batch`` kernels; their scalar ``*_reference`` twins are the
+    tests' kernel-pair oracles (``tests/core/prediction_reference.py``).
     """
 
     position_tolerance: float = 1.0
-    angle_tolerance_deg: float = 35.0
-    learning_rate: float = 0.3
-    angle_learning_rate: float = 0.3
     heartbeat: int = 8
-    match_radius: Optional[float] = None
-    lease: int = 1
-    velocity_clamp: float = 1.0
 
     def __post_init__(self) -> None:
         if self.position_tolerance <= 0:
             raise ValueError("position_tolerance must be positive")
-        if self.angle_tolerance_deg <= 0:
-            raise ValueError("angle_tolerance_deg must be positive")
-        if not 0 <= self.learning_rate <= 1:
-            raise ValueError("learning_rate must be in [0, 1]")
-        if not 0 <= self.angle_learning_rate <= 1:
-            raise ValueError("angle_learning_rate must be in [0, 1]")
         if self.heartbeat < 0:
             raise ValueError("heartbeat must be >= 0")
-        if self.match_radius is not None and self.match_radius <= 0:
-            raise ValueError("match_radius must be positive")
-        if self.lease < 1:
-            raise ValueError("lease must be >= 1")
-        if self.velocity_clamp <= 0:
-            raise ValueError("velocity_clamp must be positive")
-
-    @property
-    def effective_match_radius(self) -> float:
-        """``match_radius`` or its default, twice the tolerance."""
-        if self.match_radius is not None:
-            return self.match_radius
-        return 2.0 * self.position_tolerance
-
-    @property
-    def angle_tolerance_rad(self) -> float:
-        return math.radians(self.angle_tolerance_deg)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "PredictionConfig":
-        return PredictionConfig(**d)
 
 
 @dataclass
@@ -363,7 +340,7 @@ class PredictorBank:
         """
         cfg = self.config
         tol_sq = cfg.position_tolerance * cfg.position_tolerance
-        angle_tol = cfg.angle_tolerance_rad
+        angle_tol = math.radians(ANGLE_TOLERANCE_DEG)
         sources = sorted(current)
         owned = [s for s in sources if s in self.tracks]
         joins = [s for s in sources if s not in self.tracks]
@@ -468,7 +445,7 @@ class PredictorBank:
         it any more -- does the cached sample get retracted.
 
         A second retraction source is the coverage lease: a track that
-        covered no observation for ``lease`` consecutive epochs is a
+        covered no observation for :data:`LEASE` consecutive epochs is a
         ghost gliding through empty space, and its last lease holder
         (the node it last covered) retracts it before it deposits more
         bogus samples in the sink map.
@@ -500,7 +477,7 @@ class PredictorBank:
         for key in sorted(self.tracks):
             if key in seen:
                 continue
-            if self._uncovered.get(key, 0) >= cfg.lease:
+            if self._uncovered.get(key, 0) >= LEASE:
                 out.append(key)
         out.sort()
         return out
@@ -516,14 +493,14 @@ class PredictorBank:
 
         Sequential claim bookkeeping: each delivered report corrects its
         own track, else adopts (re-keys) the nearest unclaimed same-level
-        track within ``match_radius``, else creates a fresh zero-velocity
+        track within the match radius, else creates a fresh zero-velocity
         track.  Then delivered retractions evict, and tracks older than
         the heartbeat cap are garbage-collected.
         """
         cfg = self.config
-        radius_sq = cfg.effective_match_radius ** 2
-        mu = cfg.learning_rate
-        mu_w = cfg.angle_learning_rate
+        radius_sq = (MATCH_RADIUS * cfg.position_tolerance) ** 2
+        mu = LEARNING_RATE
+        mu_w = ANGLE_LEARNING_RATE
         claimed: set = set()
 
         for report in delivered:
@@ -546,7 +523,7 @@ class PredictorBank:
                 t.vx = t.vx + mu * (ox - t.x)
                 t.vy = t.vy + mu * (oy - t.y)
                 speed = math.hypot(t.vx, t.vy)
-                vmax = cfg.velocity_clamp * cfg.position_tolerance
+                vmax = VELOCITY_CLAMP * cfg.position_tolerance
                 if speed > vmax:
                     t.vx *= vmax / speed
                     t.vy *= vmax / speed

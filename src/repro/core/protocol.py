@@ -301,7 +301,7 @@ class IsoMapProtocol:
 
         # Each source offers its own report to its own filter first.
         for r in reports:
-            rid = transport.register(group=r.isolevel)
+            rid = transport.register()
             if filter_at(r.source).offer(r, r.source, costs):
                 outbox.setdefault(r.source, []).append((r, rid))
             else:

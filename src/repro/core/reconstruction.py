@@ -267,6 +267,11 @@ def _finish_region(region: LevelRegion, regulate: bool) -> LevelRegion:
 # Incremental (epoch-delta) reconstruction
 # ----------------------------------------------------------------------
 
+#: Dirty-cell fraction above which :class:`ReconstructionCache` rebuilds
+#: the level from scratch instead of splicing (read at each update, so a
+#: test can patch it).
+FULL_REBUILD_THRESHOLD = 0.35
+
 
 @dataclass
 class ReconstructionStats:
@@ -320,25 +325,16 @@ class ReconstructionCache:
     geometry is recomputed with the exact kernels of the full path, so
     not a single float differs (the differential tests assert exact
     equality across seeded epoch sequences).  When the dirty fraction
-    exceeds ``full_rebuild_threshold`` the cache falls back to the full
-    path, which is faster than splicing a mostly-dirty map.
+    exceeds :data:`FULL_REBUILD_THRESHOLD` the cache falls back to the
+    full path, which is faster than splicing a mostly-dirty map.  The
+    region is always regulated, as the sink's is.
 
     Not thread-safe; one cache serves one isolevel.
     """
 
-    def __init__(
-        self,
-        isolevel: float,
-        bounds: BoundingBox,
-        regulate: bool = True,
-        full_rebuild_threshold: float = 0.35,
-    ):
-        if not 0.0 <= full_rebuild_threshold <= 1.0:
-            raise ValueError("full_rebuild_threshold must be within [0, 1]")
+    def __init__(self, isolevel: float, bounds: BoundingBox):
         self.isolevel = isolevel
         self.bounds = bounds
-        self.regulate = regulate
-        self.full_rebuild_threshold = full_rebuild_threshold
         self.stats = ReconstructionStats()
         self._region: Optional[LevelRegion] = None
         self._index_of: Dict[int, int] = {}
@@ -421,7 +417,7 @@ class ReconstructionCache:
                         old_of_new[k] = ok
 
         dirty_fraction = len(recompute) / m_new
-        if dirty_fraction > self.full_rebuild_threshold:
+        if dirty_fraction > FULL_REBUILD_THRESHOLD:
             return self._install_full(deduped, dirty_fraction=dirty_fraction)
 
         # Retained labels reference position-stable survivors only (any
@@ -523,7 +519,7 @@ class ReconstructionCache:
             inner_polys=inner_polys,
             loops=loops,
         )
-        region = _finish_region(region, self.regulate)
+        region = _finish_region(region, regulate=True)
 
         with profiling.stage("reconstruction.delta.locality_table"):
             locality = CellLocality.splice(self._locality, old_of_new, cells, arr)
@@ -549,7 +545,7 @@ class ReconstructionCache:
     ) -> LevelRegion:
         """From-scratch build; retains everything the delta path needs."""
         region, cell_segments = _region_from_deduped(
-            self.isolevel, deduped, self.bounds, self.regulate
+            self.isolevel, deduped, self.bounds, regulate=True
         )
         self._region = region
         self._index_of = {r.source: k for k, r in enumerate(deduped)}

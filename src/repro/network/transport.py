@@ -38,11 +38,14 @@ transport charges only work that would not happen on a perfect link:
 retransmissions, duplicate frames, backoff windows and repair messages.
 
 There is one collection driver, :meth:`EpochTransport.run_collection`.
-With no fault engine every frame lands on its first attempt and no
-draws are made; under a plan each level's draws are resolved as arrays.
-(:func:`forward_reports_to_sink` prices a zero-fault epoch in closed
-form instead.)  The per-frame oracle of both (a walk that sends one
-frame and one attempt at a time) lives test-side, in
+It applies one liveness rule: a node forwards only while it is alive --
+the network's ``alive`` flags, minus the fault engine's mid-epoch
+crashes when a plan runs.  With no fault engine every frame lands on
+its first attempt and no draws are made; under a plan each level's
+draws are resolved as arrays.  (:func:`forward_reports_to_sink` prices
+a zero-fault epoch over an all-alive routing tree in closed form
+instead.)  The per-frame oracle of both (a walk that sends one frame and
+one attempt at a time) lives test-side, in
 ``tests/network/transport_reference.py``.
 
 Accounting is per frame *instance*: ``generated`` report instances plus
@@ -54,7 +57,7 @@ or ``duplicate_discarded``), which is the conservation law
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -165,8 +168,6 @@ class DegradationReport:
         crashed_nodes / recovered_nodes: mid-epoch node events fired.
         disconnected_regions: connected components of the end-of-epoch
             alive communication graph that cannot reach the sink.
-        per_group: group key -> [generated, delivered]; Iso-Map groups by
-            isolevel, giving the per-isolevel delivery rate.
     """
 
     generated: int = 0
@@ -185,7 +186,6 @@ class DegradationReport:
     crashed_nodes: int = 0
     recovered_nodes: int = 0
     disconnected_regions: int = 0
-    per_group: Dict[Any, List[int]] = field(default_factory=dict)
 
     @property
     def is_conserved(self) -> bool:
@@ -202,13 +202,6 @@ class DegradationReport:
     def delivery_rate(self) -> float:
         """Fraction of generated reports that reached the sink."""
         return self.delivered / self.generated if self.generated else 1.0
-
-    def group_delivery_rates(self) -> Dict[Any, float]:
-        """Per-group (per-isolevel for Iso-Map) delivery rates."""
-        return {
-            g: (d / g_gen if g_gen else 1.0)
-            for g, (g_gen, d) in self.per_group.items()
-        }
 
     @property
     def is_degraded(self) -> bool:
@@ -280,9 +273,8 @@ class EpochTransport:
         config: defense knobs; defaults to :meth:`TransportConfig.hardened`.
         plan: the fault plan, the one source of link loss, crashes,
             corruption and duplication.  None or a null plan builds no
-            fault engine: every routed node forwards to its tree parent
-            and every frame lands on its first attempt, which charges
-            exactly the bytes of a perfect link layer.
+            fault engine: every frame lands on its first attempt, which
+            charges exactly the bytes of a perfect link layer.
         mangler: optional receiver-side decoder for corrupted frames
             accepted without a CRC (protocols with a real codec pass
             one; without it such frames are discarded as unparseable).
@@ -331,22 +323,18 @@ class EpochTransport:
         self._report = DegradationReport()
         self._open = 0  # instances registered/injected but not yet bucketed
         self._next_rid = 0
-        self._group_of: Dict[int, Any] = {}
         self._delivered_rids: set = set()
 
     # ------------------------------------------------------------------
     # Report registration and terminal buckets
     # ------------------------------------------------------------------
 
-    def register(self, group: Any = None) -> int:
+    def register(self) -> int:
         """Register one generated report; returns its tracking id."""
         rid = self._next_rid
         self._next_rid += 1
         self._report.generated += 1
         self._open += 1
-        if group is not None:
-            self._group_of[rid] = group
-            self._report.per_group.setdefault(group, [0, 0])[0] += 1
         return rid
 
     def mark_filtered(self, rid: int) -> None:
@@ -376,9 +364,6 @@ class EpochTransport:
             return False
         self._delivered_rids.add(rid)
         self._report.delivered += 1
-        group = self._group_of.get(rid)
-        if group is not None:
-            self._report.per_group[group][1] += 1
         return True
 
     def _terminal(self, rids: Sequence[int], bucket: str) -> None:
@@ -396,6 +381,13 @@ class EpochTransport:
     def _max_attempts(self) -> int:
         return (self.config.max_retries + 1) if self.config.arq else 1
 
+    def _alive(self) -> np.ndarray:
+        """Liveness now: the network's ``alive`` flags, minus the fault
+        engine's mid-epoch crashes when a plan runs."""
+        if self.engine is None:
+            return self.network.alive
+        return self.engine.alive_array()
+
     def run_collection(
         self,
         frames_for: FramesFor,
@@ -410,12 +402,13 @@ class EpochTransport:
         and the protocol supplies ``frames_for`` / ``on_arrival``.
 
         Per level (deepest first): fire the slot's fault events, decide
-        each member's fate (crashed members strand, orphans locally
-        re-parent), then send every live member's frames as one batch
-        (:meth:`_send_level_batch`).  With no fault engine every routed
-        member and its parent count as alive -- including a node whose
-        ``alive`` flag was cleared without a tree rebuild -- and every
-        frame lands on its first attempt.
+        each member's fate from :meth:`_alive` (dead members strand,
+        orphans locally re-parent), then send every live member's frames
+        as one batch (:meth:`_send_level_batch`).  The rule is the same
+        with no fault engine: a node whose ``alive`` flag was cleared
+        without a tree rebuild strands its buffer, and its children
+        re-parent around it.  Every frame then lands on its first
+        attempt.
 
         A member that adopts a *same-level* neighbour forces a batch cut
         at the adopted parent, so the adopted frames are dispatched into
@@ -438,22 +431,20 @@ class EpochTransport:
             routed = parents >= 0
             new_parent: Dict[int, int] = {}
             cuts: set = set()
-            if engine is None:
-                m_alive = p_alive = routed
-            else:
+            if engine is not None:
                 engine.advance_to_slot(lvl)
-                with profiling.stage("transport.batch.decide"):
-                    alive = engine.alive_array()
-                    m_alive = alive[members]
-                    p_alive = m_alive & routed & alive[np.where(routed, parents, 0)]
-                    if cfg.reparent:
-                        orphaned = m_alive & routed & ~p_alive
-                        for u in members[orphaned].tolist():
-                            w = self._reparent_with(u, lambda x, _u=u: x > _u)
-                            if w is not None:
-                                new_parent[u] = w
-                                if tree.level[w] == lvl:
-                                    cuts.add(w)
+            with profiling.stage("transport.batch.decide"):
+                alive = self._alive()
+                m_alive = alive[members]
+                p_alive = m_alive & routed & alive[np.where(routed, parents, 0)]
+                if cfg.reparent:
+                    orphaned = m_alive & routed & ~p_alive
+                    for u in members[orphaned].tolist():
+                        w = self._reparent_with(u, alive, lambda x, _u=u: x > _u)
+                        if w is not None:
+                            new_parent[u] = w
+                            if tree.level[w] == lvl:
+                                cuts.add(w)
             batch: List[Tuple[int, int, Sequence[OutFrame]]] = []
             members_list = members.tolist()
             m_alive_list = m_alive.tolist()
@@ -486,11 +477,12 @@ class EpochTransport:
             engine.finish_epoch()
 
     def _reparent_with(
-        self, u: int, slot_pending: Callable[[int], bool]
+        self, u: int, alive: np.ndarray, slot_pending: Callable[[int], bool]
     ) -> Optional[int]:
         """Locally re-attach ``u`` after its parent crashed.
 
-        ``u`` broadcasts a probe; every alive routed neighbour answers
+        ``u`` broadcasts a probe; every routed neighbour alive in
+        ``alive`` (the caller's :meth:`_alive` view) answers
         with its tree level; ``u`` adopts the best neighbour at a level
         below its own, or at its own level if that neighbour's slot has
         not passed yet (so the adopted reports still get forwarded this
@@ -506,16 +498,16 @@ class EpochTransport:
             REPAIR_REPLY_BYTES,
         )
 
-        engine = self.engine
-        assert engine is not None
         network = self.network
         level = network.tree.level
         my_level = int(level[u])
         nbrs = network.csr.neighbors(u)
         responders = [
             (w, lw)
-            for w, lw in zip(nbrs.tolist(), level[nbrs].tolist())
-            if lw >= 0 and engine.alive(w)
+            for w, lw, up in zip(
+                nbrs.tolist(), level[nbrs].tolist(), alive[nbrs].tolist()
+            )
+            if lw >= 0 and up
         ]
         self.costs.charge_local_broadcast(
             u, [w for w, _ in responders], REPAIR_PROBE_BYTES
@@ -822,7 +814,7 @@ class EpochTransport:
         (``tests/network/transport_reference.py``).
         """
         net = self.network
-        alive = net.alive if self.engine is None else self.engine.alive_array()
+        alive = self._alive()
         seen = np.zeros(net.n_nodes, dtype=bool)
         if alive[net.sink_index]:
             net.csr.flood(net.sink_index, alive, seen)
@@ -874,8 +866,10 @@ def forward_reports_to_sink(
     per-node computation lower bound).  Frames move on the TAG bottom-up
     schedule, which charges exactly what the per-source path walk charged
     under a perfect link layer; under a fault plan the transport's
-    ARQ/CRC/dedup/re-parenting defenses apply.  Returns the indices into
-    ``frames`` of the frames that reached the sink, ascending.
+    ARQ/CRC/dedup/re-parenting defenses apply, and with or without one a
+    dead routed node strands its buffer (the liveness rule of
+    :meth:`EpochTransport.run_collection`).  Returns the indices into ``frames`` of the frames that
+    reached the sink, ascending.
     """
     tree = network.tree
     if transport is None:
@@ -893,11 +887,11 @@ def forward_reports_to_sink(
             continue
         pending.append((i, rid))
 
-    if transport.engine is None:
-        # Perfect links and no faults: every frame travels its full
-        # path, so the per-hop charges collapse to subtree sums -- no
-        # per-frame Python at all (what makes n=40k feasible, and much
-        # cheaper than the level driver at any size).
+    if transport.engine is None and network.alive[tree.level >= 0].all():
+        # Perfect links, no faults and every routed node alive: every
+        # frame travels its full path, so the per-hop charges collapse
+        # to subtree sums.  No per-frame Python runs at all, which makes
+        # n=40k feasible and beats the level kernel at any size.
         if pending:
             _zero_fault_closed_form(
                 network, [frames[i] for i, _ in pending], costs, ops_per_forward

@@ -1,11 +1,12 @@
 """Contour-map serving: the front door over continuous monitoring.
 
 ``repro.serving`` turns the simulator's sink pipeline into a service:
-long-lived :class:`MapSession` tasks run
-:class:`~repro.core.continuous.ContinuousIsoMap` epochs (sharded across
-worker processes by :class:`SupervisedShardPool`), publish wire-encoded results
-through a per-session :class:`MapStore`, and serve two client paths via
-the :class:`MapService` router --
+long-lived :class:`MapSession` objects compute the next
+:class:`~repro.core.continuous.ContinuousIsoMap` epoch each time their
+caller invokes ``advance()`` (sharded across worker processes by
+:class:`SupervisedShardPool`), publish wire-encoded results through a
+per-session :class:`MapStore`, and serve two client paths via the
+:class:`MapService` router --
 
 - ``snapshot(query_id)``: the latest (or a retained historical)
   rendered map, byte-for-byte reproducible;

@@ -3,8 +3,8 @@
 :class:`MapService` is the single async router in front of the shards:
 it owns one :class:`~repro.serving.session.MapSession` per standing
 query and exposes the two client paths -- ``snapshot(query_id)`` and
-``subscribe(query_id, since_epoch)`` -- plus lifecycle control
-(``start_all`` / ``advance_all`` / ``stop``).
+``subscribe(query_id, since_epoch)`` -- plus ``health()`` and ``stop()``.
+Epochs advance when a caller invokes ``session(query_id).advance()``.
 
 Compute runs through a
 :class:`~repro.serving.supervisor.SupervisedShardPool`: one
@@ -41,8 +41,9 @@ class MapService:
         chaos: a seeded :class:`~repro.serving.chaos.ChaosPlan` to
             inject failures between the supervisor and the workers
             (None = no injection).
-        session_kwargs: forwarded to every :class:`MapSession`
-            (``retention``, ``queue_depth``, ``epoch_interval``, ...).
+        retention / queue_depth: every session's store retention window
+            (epochs) and per-subscriber queue size (see
+            :class:`MapSession`).
     """
 
     def __init__(
@@ -51,7 +52,8 @@ class MapService:
         n_shards: int = 0,
         supervision: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosPlan] = None,
-        **session_kwargs: Any,
+        retention: int = 128,
+        queue_depth: int = 16,
     ):
         self.pool = SupervisedShardPool(
             n_shards, supervision=supervision, chaos=chaos
@@ -61,7 +63,7 @@ class MapService:
             if config.query_id in self.sessions:
                 raise ValueError(f"duplicate query id {config.query_id!r}")
             self.sessions[config.query_id] = MapSession(
-                config, self.pool, **session_kwargs
+                config, self.pool, retention=retention, queue_depth=queue_depth
             )
 
     # ------------------------------------------------------------------
@@ -103,19 +105,6 @@ class MapService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def start_all(self) -> None:
-        """Put every session on its epoch clock."""
-        for session in self.sessions.values():
-            session.start()
-
-    async def advance_all(self) -> Dict[str, Dict[str, Any]]:
-        """Advance every session one epoch (concurrently across shards)."""
-        ids = list(self.sessions)
-        results = await asyncio.gather(
-            *(self.sessions[qid].advance() for qid in ids)
-        )
-        return dict(zip(ids, results))
 
     def health(self) -> Dict[str, Any]:
         """A structured view of service health for operators and tests.

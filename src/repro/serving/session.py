@@ -15,14 +15,16 @@ It has two halves:
   router leans on.
 
 - :class:`MapSession` -- the asyncio half: owns a
-  :class:`~repro.serving.store.MapStore`, advances epochs through a
-  shard pool (optionally on a clock), and fans each delta out to
-  subscribers over bounded queues.  A subscriber that stops draining its
-  queue is *evicted* (its backlog is dropped and its stream terminates
-  with :class:`~repro.serving.errors.SlowConsumerEvicted`) so one slow
-  client can never stall the epoch clock or balloon memory.  Graceful
-  shutdown publishes an end-of-stream marker *behind* any queued deltas
-  and waits for subscribers to drain them.
+  :class:`~repro.serving.store.MapStore`, computes the next epoch
+  through a shard pool each time its caller invokes
+  :meth:`MapSession.advance` (the session keeps no clock of its own),
+  and fans each delta out to subscribers over bounded queues.  A
+  subscriber that stops draining its queue is *evicted* (its backlog is
+  dropped and its stream terminates with
+  :class:`~repro.serving.errors.SlowConsumerEvicted`) so one slow client
+  can never stall the epoch loop or balloon memory.  Graceful shutdown
+  publishes an end-of-stream marker *behind* any queued deltas and waits
+  for subscribers to drain them.
 """
 
 from __future__ import annotations
@@ -382,10 +384,6 @@ _CLOSE = object()
 _EVICT = object()
 _FAIL = object()
 
-#: Clock-loop retry tick while the shard is recovering (seconds); keeps
-#: a zero-interval session from hot-looping on a degraded shard.
-_RETRY_TICK = 0.005
-
 
 @dataclass
 class SessionStats:
@@ -486,18 +484,16 @@ class Subscription:
 class MapSession:
     """A long-lived serving session over one standing query.
 
+    The session moves only when :meth:`advance` is called (by the load
+    harness :func:`~repro.serving.clients.run_load`, or by any caller
+    that paces epochs itself).
+
     Args:
         config: the session's deterministic identity.
         pool: the shard pool epochs are computed through (see
             :class:`repro.serving.supervisor.SupervisedShardPool`).
         retention: store retention window (epochs).
-        snapshot_cache_size / cache_enabled: rendered-snapshot LRU.
         queue_depth: per-subscriber bounded queue size.
-        epoch_interval: seconds between epochs when running on the
-            clock (:meth:`start`); ``advance`` can always be called
-            manually.
-        max_epochs: stop the clock after this many epochs (None = run
-            until :meth:`stop`).
     """
 
     def __init__(
@@ -505,30 +501,18 @@ class MapSession:
         config: SessionConfig,
         pool: Any,
         retention: int = 128,
-        snapshot_cache_size: int = 8,
-        cache_enabled: bool = True,
         queue_depth: int = 16,
-        epoch_interval: float = 0.0,
-        max_epochs: Optional[int] = None,
     ):
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self.config = config
         self.queue_depth = queue_depth
-        self.epoch_interval = epoch_interval
-        self.max_epochs = max_epochs
         self._pool = pool
-        self.store = MapStore(
-            config.query_id,
-            retention=retention,
-            snapshot_cache_size=snapshot_cache_size,
-            cache_enabled=cache_enabled,
-        )
+        self.store = MapStore(config.query_id, retention=retention)
         self.stats = SessionStats()
         self._subs: Dict[int, _SubEntry] = {}
         self._next_sub_id = 0
         self._publish_walltime: Dict[int, float] = {}
-        self._task: Optional["asyncio.Task"] = None
         self._stopping = False
         #: True while the owning shard is failing/recovering; snapshot
         #: requests are answered with a staleness-tagged payload.
@@ -757,41 +741,14 @@ class MapSession:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        """Run epochs on the configured clock until stopped."""
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
-
-    async def _run(self) -> None:
-        while not self._stopping and (
-            self.max_epochs is None or self.stats.epochs < self.max_epochs
-        ):
-            try:
-                await self.advance()
-            except (EpochComputeFailed, ShardUnavailableError):
-                # Recoverable: the epoch was not published; stay on the
-                # clock and retry it (degraded snapshots serve meanwhile).
-                await asyncio.sleep(max(self.epoch_interval, _RETRY_TICK))
-                continue
-            except SessionFailedError:
-                return  # terminal; subscribers were notified by _fail
-            await asyncio.sleep(self.epoch_interval)
-
     async def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
-        """Stop the clock and close every subscriber stream.
+        """Close every subscriber stream; later :meth:`advance` calls raise.
 
         With ``drain`` (the default) the end-of-stream marker is queued
         *behind* any pending deltas and the session waits (up to
         ``timeout`` seconds) for subscribers to consume their backlog.
         """
         self._stopping = True
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
         entries = []
         for sub_id in list(self._subs):
             entry = self._subs.get(sub_id)

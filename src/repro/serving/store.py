@@ -8,10 +8,11 @@ A :class:`MapStore` holds, for every epoch inside its retention window:
   after applying the delta, as a sorted tuple) plus the sink reading,
   from which the snapshot payload is rendered on demand.
 
-Snapshot payloads are memoised in a small LRU keyed by
-``(query_id, epoch)``.  The cache is *transparent* by construction --
-rendering is a pure function of the retained per-epoch state, so cache
-hits and misses return identical bytes (pinned by a property test) --
+Snapshot payloads are memoised in an LRU of :data:`SNAPSHOT_CACHE_SIZE`
+renderings keyed by ``(epoch, simplified)``.  The cache is *transparent*
+by construction -- rendering is a pure function of the retained
+per-epoch state, so cache hits and misses return identical bytes
+(pinned by a property test) --
 and eviction is safe: dropping an epoch's state also purges its cached
 rendering, so a request for an evicted epoch raises
 :class:`~repro.serving.errors.EpochEvicted` instead of ever serving
@@ -32,6 +33,10 @@ from typing import Optional, Tuple
 from repro.serving.errors import EpochEvicted
 from repro.serving.wire import encode_snapshot
 
+#: Rendered snapshots the LRU keeps (read at each render, so a test can
+#: patch it).
+SNAPSHOT_CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class _EpochEntry:
@@ -48,30 +53,16 @@ class MapStore:
     """Bounded per-session storage of served payloads.
 
     Args:
-        query_id: the owning session's query id (cache-key component and
-            error-message context).
+        query_id: the owning session's query id (error-message context).
         retention: how many most-recent epochs keep their delta payload
             and record state (>= 1); older epochs are evicted.
-        snapshot_cache_size: LRU capacity for rendered snapshot payloads.
-        cache_enabled: disable to re-render every snapshot request (the
-            transparency property tests compare both modes byte-for-byte).
     """
 
-    def __init__(
-        self,
-        query_id: str,
-        retention: int = 128,
-        snapshot_cache_size: int = 8,
-        cache_enabled: bool = True,
-    ):
+    def __init__(self, query_id: str, retention: int = 128):
         if retention < 1:
             raise ValueError("retention must be >= 1")
-        if snapshot_cache_size < 1:
-            raise ValueError("snapshot_cache_size must be >= 1")
         self.query_id = query_id
         self.retention = retention
-        self.snapshot_cache_size = snapshot_cache_size
-        self.cache_enabled = cache_enabled
         self._epochs: "OrderedDict[int, _EpochEntry]" = OrderedDict()
         # Rendered-snapshot LRU, keyed (epoch, simplified).
         self._rendered: "OrderedDict[Tuple[int, bool], bytes]" = OrderedDict()
@@ -189,17 +180,14 @@ class MapStore:
                 )
             records = entry.s_records
         key = (epoch, simplified)
-        if self.cache_enabled:
-            cached = self._rendered.get(key)
-            if cached is not None:
-                self._rendered.move_to_end(key)
-                self.cache_hits += 1
-                return cached
+        cached = self._rendered.get(key)
+        if cached is not None:
+            self._rendered.move_to_end(key)
+            self.cache_hits += 1
+            return cached
         self.cache_misses += 1
         payload = encode_snapshot(epoch, records, entry.sink)
-        if self.cache_enabled:
-            self._rendered[key] = payload
-            self._rendered.move_to_end(key)
-            while len(self._rendered) > self.snapshot_cache_size:
-                self._rendered.popitem(last=False)
+        self._rendered[key] = payload
+        while len(self._rendered) > SNAPSHOT_CACHE_SIZE:
+            self._rendered.popitem(last=False)
         return payload

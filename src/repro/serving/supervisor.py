@@ -15,19 +15,18 @@ self-healing control loop:
   rebuilds the session and fast-forwards to the requested epoch --
   byte-identical to an uninterrupted run, because every payload is a
   pure function of ``(config, epoch)``;
-- failed attempts are retried with **capped, jittered exponential
-  backoff** -- the serving mirror of the transport's ARQ policy
-  (``min(base << (k - 2), cap)`` windows), with the jitter drawn from a
-  counter-based stream keyed ``(query, epoch, attempt)`` so even the
-  retry timing is reproducible;
+- failed attempts are retried, up to :data:`MAX_ATTEMPTS` per call,
+  with **capped, jittered exponential backoff** -- the serving mirror of
+  the transport's ARQ policy (``min(base << (k - 2), cap)`` windows),
+  with the jitter drawn from a counter-based stream keyed ``(query,
+  epoch, attempt)`` so even the retry timing is reproducible;
 - each shard carries a **circuit breaker**: after
-  :attr:`SupervisorConfig.breaker_threshold` consecutive infrastructure
-  failures it opens and the next :attr:`SupervisorConfig.breaker_cooldown`
-  compute calls fail fast (:class:`ShardUnavailableError`) instead of
-  burning deadlines on a shard that is clearly down, then a half-open
-  trial call decides between closing and re-opening.  The cooldown is
-  counted in *calls*, not seconds, so chaos runs replay identically on
-  any machine;
+  :data:`BREAKER_THRESHOLD` consecutive infrastructure failures it opens
+  and the next :data:`BREAKER_COOLDOWN` compute calls fail fast
+  (:class:`ShardUnavailableError`) instead of burning deadlines on a
+  shard that is clearly down, then a half-open trial call decides
+  between closing and re-opening.  The cooldown is counted in *calls*,
+  not seconds, so chaos runs replay identically on any machine;
 - results carry a CRC integrity tag; a payload damaged in transit is
   rejected and recomputed, never published;
 - a :class:`~repro.serving.chaos.ChaosEngine` can be plugged between the
@@ -35,12 +34,13 @@ self-healing control loop:
   corruption from seeded counter-based draws (the reproducible chaos
   harness).
 
-Health is first-class: per-shard :class:`ShardHealth` counters (crashes,
-hangs, restarts, retries, MTTR samples) feed ``MapService.health()`` and
-``BENCH_serving_faults.json``, and :meth:`ShardSupervisor.probe` runs a
-worker heartbeat (:func:`repro.serving.worker.ping`) under its own
-deadline to tell a wedged shard from an idle one without waiting for a
-real request to fail.
+Hangs are detected only by the per-request deadline: a wedged shard is
+found by the next compute sent to it.  Health is first-class: per-shard
+:class:`ShardHealth` counters (crashes, hangs, restarts, retries, MTTR
+samples) feed ``MapService.health()`` and ``BENCH_serving_faults.json``.
+
+The module constants below are read when a pool is built or a call
+runs, so a test can patch them.
 """
 
 from __future__ import annotations
@@ -69,50 +69,46 @@ from repro.serving.session import SessionConfig
 #: Backoff-jitter stream tag (sibling of the chaos engine's tags).
 _TAG_BACKOFF = 103
 
+#: Attempts per ``compute`` call (first try included), mirroring the
+#: transport's ``max_retries + 1`` ARQ budget.
+MAX_ATTEMPTS = 4
+
+#: Seed of the backoff-jitter stream.
+BACKOFF_SEED = 0
+
+#: Consecutive infrastructure failures that open a shard's breaker.
+BREAKER_THRESHOLD = 3
+
+#: Compute *calls* that fail fast while a breaker is open, before the
+#: half-open trial.
+BREAKER_COOLDOWN = 2
+
+#: Worker-join deadline on shutdown (seconds); stragglers are killed.
+CLOSE_TIMEOUT = 5.0
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Tuning knobs of the self-healing layer.
+    """Deadline and backoff of the self-healing layer.
 
     Attributes:
         compute_timeout: per-request deadline (seconds); a compute that
             has not answered by then is treated as a hang.
-        probe_timeout: deadline for the worker heartbeat probe.
-        max_attempts: attempts per ``compute`` call (first try included),
-            mirroring the transport's ``max_retries + 1`` ARQ budget.
         backoff_base / backoff_cap: retry ``k`` (k >= 2) sleeps
             ``min(backoff_base * 2**(k - 2), backoff_cap)`` seconds,
             scaled by a deterministic jitter in [0.5, 1.0) -- the capped
             exponential backoff of the transport, in wall time.
-        backoff_seed: seed of the jitter stream.
-        breaker_threshold: consecutive infrastructure failures that open
-            a shard's circuit breaker.
-        breaker_cooldown: compute *calls* that fail fast while the
-            breaker is open, before the half-open trial (call-counted so
-            chaos runs replay identically on any machine).
-        close_timeout: worker-join deadline on shutdown; stragglers are
-            killed so closing can never hang.
     """
 
     compute_timeout: float = 30.0
-    probe_timeout: float = 5.0
-    max_attempts: int = 4
     backoff_base: float = 0.01
     backoff_cap: float = 0.08
-    backoff_seed: int = 0
-    breaker_threshold: int = 3
-    breaker_cooldown: int = 2
-    close_timeout: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.compute_timeout <= 0 or self.probe_timeout <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        if self.compute_timeout <= 0:
+            raise ValueError("compute_timeout must be positive")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ValueError("backoff parameters must be non-negative")
-        if self.breaker_threshold < 1 or self.breaker_cooldown < 0:
-            raise ValueError("breaker parameters out of range")
 
 
 class CircuitBreaker:
@@ -190,13 +186,14 @@ class ShardHealth:
         }
 
 
-def drain_executor(executor: ProcessPoolExecutor, timeout: float = 5.0) -> None:
+def drain_executor(executor: ProcessPoolExecutor) -> None:
     """Shut a process pool down without ever hanging the caller.
 
-    Queued-but-unstarted work is cancelled, workers get ``timeout``
-    seconds to join, and stragglers (dead-but-unreaped or genuinely
-    wedged processes) are killed -- so ``MapService.stop()`` can never
-    block on a worker that will not come back.
+    Queued-but-unstarted work is cancelled, workers get
+    :data:`CLOSE_TIMEOUT` seconds to join, and stragglers
+    (dead-but-unreaped or genuinely wedged processes) are killed -- so
+    ``MapService.stop()`` can never block on a worker that will not come
+    back.
     """
     executor.shutdown(wait=False, cancel_futures=True)
     # _processes is None once the executor has fully shut down.
@@ -204,7 +201,7 @@ def drain_executor(executor: ProcessPoolExecutor, timeout: float = 5.0) -> None:
         p for p in (getattr(executor, "_processes", None) or {}).values()
         if p is not None
     ]
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + CLOSE_TIMEOUT
     for p in procs:
         p.join(max(0.0, deadline - time.monotonic()))
     for p in procs:
@@ -225,14 +222,11 @@ class ShardSupervisor:
     inline and sharded chaos runs stay byte-identical.
     """
 
-    def __init__(self, index: int, config: SupervisorConfig, inline: bool = False):
+    def __init__(self, index: int, inline: bool = False):
         self.index = index
-        self.config = config
         self.inline = inline
         self.health = ShardHealth()
-        self.breaker = CircuitBreaker(
-            config.breaker_threshold, config.breaker_cooldown
-        )
+        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN)
         self._executor: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
@@ -288,36 +282,12 @@ class ShardSupervisor:
         self.respawn()
 
     def close(self) -> None:
+        """Shut the shard's worker down; never hangs (see
+        :func:`drain_executor`).  Idempotent."""
         if self._executor is not None:
             old = self._executor
             self._executor = None
-            drain_executor(old, self.config.close_timeout)
-
-    # ------------------------------------------------------------------
-    # Health probing
-    # ------------------------------------------------------------------
-
-    async def probe(self) -> bool:
-        """Heartbeat: does the worker answer within the probe deadline?
-
-        A wedged single-worker shard cannot run :func:`worker.ping`
-        until its current (stuck) task finishes, so the probe times out
-        -- the supervisor's way of detecting a hang *between* requests.
-        """
-        loop = asyncio.get_running_loop()
-        try:
-            fut = loop.run_in_executor(self.executor(), worker_mod.ping)
-            await asyncio.wait_for(fut, self.config.probe_timeout)
-            return True
-        except (asyncio.TimeoutError, BrokenExecutor, OSError, RuntimeError):
-            return False
-
-    async def ensure_healthy(self) -> bool:
-        """Probe; on failure kill + respawn and probe the replacement."""
-        if await self.probe():
-            return True
-        self.on_hang()
-        return await self.probe()
+            drain_executor(old)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -341,7 +311,7 @@ class SupervisedShardPool:
 
     Args:
         n_shards: worker processes; 0 computes inline.
-        supervision: deadlines/retry/breaker tuning (defaults are
+        supervision: deadline and backoff (defaults are
             production-shaped: generous deadline, small backoff).
         chaos: a seeded :class:`~repro.serving.chaos.ChaosPlan` to
             inject failures (None or a null plan = no injection).
@@ -361,11 +331,9 @@ class SupervisedShardPool:
         if chaos is not None and not chaos.is_null:
             self.chaos = ChaosEngine(chaos)
         if n_shards:
-            self.supervisors = [
-                ShardSupervisor(i, self.supervision) for i in range(n_shards)
-            ]
+            self.supervisors = [ShardSupervisor(i) for i in range(n_shards)]
         else:
-            self.supervisors = [ShardSupervisor(0, self.supervision, inline=True)]
+            self.supervisors = [ShardSupervisor(0, inline=True)]
         #: perf_counter of the first failed attempt per (query, epoch),
         #: kept across compute calls so MTTR spans breaker-open gaps.
         self._first_failure: Dict[Tuple[str, int], float] = {}
@@ -392,7 +360,6 @@ class SupervisedShardPool:
         qid = config.query_id
         shard_idx = self.shard_of(qid)
         sup = self.supervisors[shard_idx]
-        scfg = self.supervision
         if not sup.breaker.allows():
             sup.health.breaker_fast_fails += 1
             raise ShardUnavailableError(
@@ -403,7 +370,7 @@ class SupervisedShardPool:
             )
         last: Optional[ShardComputeError] = None
         attempts = 0
-        for k in range(1, scfg.max_attempts + 1):
+        for k in range(1, MAX_ATTEMPTS + 1):
             if k > 1:
                 sup.health.retries += 1
                 delay = self._backoff_delay(qid, epoch, k)
@@ -544,7 +511,7 @@ class SupervisedShardPool:
         if window <= 0:
             return 0.0
         key = derive_key(
-            scfg.backoff_seed, _TAG_BACKOFF,
+            BACKOFF_SEED, _TAG_BACKOFF,
             zlib.crc32(query_id.encode("utf-8")), epoch, k,
         )
         return window * (0.5 + 0.5 * uniform_at(key, 0))
@@ -553,18 +520,10 @@ class SupervisedShardPool:
     # Health / lifecycle
     # ------------------------------------------------------------------
 
-    async def probe_all(self) -> List[bool]:
-        """Heartbeat every shard (True = answered within the deadline)."""
-        return [await sup.probe() for sup in self.supervisors]
-
     def status(self) -> List[Dict[str, Any]]:
         return [sup.status() for sup in self.supervisors]
 
-    def close(self, timeout: Optional[float] = None) -> None:
+    def close(self) -> None:
         """Shut every shard down; never hangs (stragglers are killed)."""
-        join = self.supervision.close_timeout if timeout is None else timeout
         for sup in self.supervisors:
-            if sup._executor is not None:
-                old = sup._executor
-                sup._executor = None
-                drain_executor(old, join)
+            sup.close()

@@ -31,11 +31,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.codec import ReportCodec
-from repro.core.contour_map import ContourMap, build_contour_map
-from repro.core.reports import IsolineReport
 from repro.core.wire import ISOLINE_REPORT_BYTES
-from repro.geometry import BoundingBox
 from repro.geometry.simplify import (
     chain_points,
     polyline_deviation,
@@ -259,7 +255,9 @@ class DeltaReplayer:
     state).  Deltas must arrive contiguously (epoch ``n+1`` after ``n``);
     a snapshot resets the state to the carried epoch, which is how the
     session resyncs a subscriber whose requested epoch fell out of
-    retention.
+    retention.  A client that wants reports decodes the records of
+    ``decode_snapshot(replayer.render())`` with
+    :meth:`repro.core.codec.ReportCodec.decode`.
     """
 
     def __init__(self) -> None:
@@ -302,64 +300,6 @@ class DeltaReplayer:
     def render(self) -> bytes:
         """The snapshot payload of the current state (canonical order)."""
         return encode_snapshot(self.epoch, self._state.values(), self._sink)
-
-    # ------------------------------------------------------------------
-    # Decoded views (what an end client actually wants)
-    # ------------------------------------------------------------------
-
-    def reports(self, codec: ReportCodec) -> List[IsolineReport]:
-        """The decoded reports, in canonical record order."""
-        return [codec.decode(r) for r in sorted(self._state.values())]
-
-    def sink_value(self, codec: ReportCodec) -> Optional[float]:
-        return None if self._sink is None else codec.dequantize_value(self._sink)
-
-    def contour_map(
-        self,
-        codec: ReportCodec,
-        levels: List[float],
-        bounds: BoundingBox,
-        regulate: bool = True,
-    ) -> ContourMap:
-        """Reconstruct the multi-level map from the replayed state."""
-        return build_contour_map(
-            self.reports(codec),
-            levels,
-            bounds,
-            sink_value=self.sink_value(codec),
-            regulate=regulate,
-        )
-
-    def isoline_polylines(
-        self, codec: ReportCodec, max_gap: Optional[float] = None
-    ) -> Dict[float, List[Tuple[List[Tuple[float, float]], bool]]]:
-        """Render the held records as per-level isoline polylines.
-
-        A lightweight client view (e.g. for plotting a SIMPLIFIED
-        stream without the full Voronoi reconstruction): records are
-        grouped by quantised isolevel and chained with
-        :func:`repro.geometry.simplify.chain_points`.  Returns
-        ``{isolevel: [(points, is_ring), ...]}``.  Pass an explicit
-        ``max_gap`` (e.g. derived from the deployment's node spacing)
-        when comparing renderings of streams with different densities --
-        the default gap adapts to the data and so differs per stream.
-        """
-        by_level: Dict[int, List[bytes]] = {}
-        for rec in sorted(self._state.values()):
-            q_level = rec[0] | (rec[1] << 8)
-            by_level.setdefault(q_level, []).append(rec)
-        out: Dict[float, List[Tuple[List[Tuple[float, float]], bool]]] = {}
-        for q_level in sorted(by_level):
-            positions = [
-                codec.dequantize_position(record_position_key(r))
-                for r in by_level[q_level]
-            ]
-            chains = [
-                ([positions[i] for i in chain], is_ring)
-                for chain, is_ring in chain_points(positions, max_gap=max_gap)
-            ]
-            out[codec.dequantize_value(q_level)] = chains
-        return out
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ replace the retry's session with one it is still mutating.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Dict
@@ -75,21 +74,11 @@ def reset() -> None:
         _SESSIONS.clear()
 
 
-def ping() -> int:
-    """Health-probe entry point: answers with the worker's pid.
-
-    A healthy shard answers within the supervisor's probe deadline; a
-    wedged worker (its single process stuck in a long compute) cannot,
-    which is how the supervisor tells *hung* apart from *idle*.
-    """
-    return os.getpid()
-
-
 def wedge(seconds: float) -> None:
     """Occupy the worker for ``seconds`` (supervision test hook).
 
     Submitted to a single-worker shard this simulates a genuinely wedged
-    process: every queued request (including :func:`ping`) waits behind
-    it until the supervisor's deadline fires and the shard is respawned.
+    process: every queued request waits behind it until the supervisor's
+    deadline fires and the shard is respawned.
     """
     time.sleep(seconds)

@@ -13,6 +13,7 @@ Three layers:
    make identical decisions and hold identical state.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -156,30 +157,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PredictionConfig(position_tolerance=0.0)
     with pytest.raises(ValueError):
-        PredictionConfig(angle_tolerance_deg=-1.0)
-    with pytest.raises(ValueError):
-        PredictionConfig(learning_rate=1.5)
-    with pytest.raises(ValueError):
         PredictionConfig(heartbeat=-1)
-    with pytest.raises(ValueError):
-        PredictionConfig(lease=0)
-    with pytest.raises(ValueError):
-        PredictionConfig(velocity_clamp=0.0)
-    cfg = PredictionConfig(position_tolerance=2.0)
-    assert cfg.effective_match_radius == 4.0
-    assert PredictionConfig(match_radius=1.5).effective_match_radius == 1.5
+    assert [f.name for f in dataclasses.fields(PredictionConfig)] == [
+        "position_tolerance",
+        "heartbeat",
+    ]
 
 
-def test_config_round_trips_through_dict():
-    cfg = PredictionConfig(position_tolerance=1.3, heartbeat=5, lease=2)
-    assert PredictionConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_lms_converges_on_constant_drift():
+def test_lms_converges_on_constant_drift(monkeypatch):
     """A track fed a constant-velocity observation stream learns the
     drift: within a few epochs the prediction error falls under the
     tolerance and stays there."""
-    cfg = PredictionConfig(position_tolerance=0.5, learning_rate=0.5)
+    monkeypatch.setattr(prediction, "LEARNING_RATE", 0.5)
+    cfg = PredictionConfig(position_tolerance=0.5)
     bank = PredictorBank(cfg)
     drift = 0.3
     bank.apply([report(1, 0.0, 10.0)], [])
@@ -225,8 +215,9 @@ def test_heartbeat_forces_report_past_cap():
     assert heartbeats == 1
 
 
-def test_decide_suppresses_within_tolerance_and_sends_outside():
-    cfg = PredictionConfig(position_tolerance=1.0, angle_tolerance_deg=180.0)
+def test_decide_suppresses_within_tolerance_and_sends_outside(monkeypatch):
+    monkeypatch.setattr(prediction, "ANGLE_TOLERANCE_DEG", 180.0)
+    cfg = PredictionConfig(position_tolerance=1.0)
     bank = PredictorBank(cfg)
     bank.apply([report(1, 5.0, 5.0), report(2, 10.0, 10.0)], [])
     bank.advance()
@@ -237,8 +228,9 @@ def test_decide_suppresses_within_tolerance_and_sends_outside():
     assert [r.source for r in to_send] == [2]
 
 
-def test_join_suppressed_by_covering_track():
-    cfg = PredictionConfig(position_tolerance=1.0, angle_tolerance_deg=180.0)
+def test_join_suppressed_by_covering_track(monkeypatch):
+    monkeypatch.setattr(prediction, "ANGLE_TOLERANCE_DEG", 180.0)
+    cfg = PredictionConfig(position_tolerance=1.0)
     bank = PredictorBank(cfg)
     bank.apply([report(1, 5.0, 5.0)], [])
     bank.advance()
@@ -251,8 +243,9 @@ def test_join_suppressed_by_covering_track():
     assert [r.source for r in to_send] == [98]
 
 
-def test_adoption_rekeys_nearest_track_and_learns_drift():
-    cfg = PredictionConfig(position_tolerance=0.5, learning_rate=0.5)
+def test_adoption_rekeys_nearest_track_and_learns_drift(monkeypatch):
+    monkeypatch.setattr(prediction, "LEARNING_RATE", 0.5)
+    cfg = PredictionConfig(position_tolerance=0.5)
     bank = PredictorBank(cfg)
     bank.apply([report(1, 5.0, 5.0)], [])
     bank.advance()
@@ -264,19 +257,17 @@ def test_adoption_rekeys_nearest_track_and_learns_drift():
     assert t.vx == pytest.approx(0.4)  # mu * offset
 
 
-def test_velocity_clamp_caps_learned_speed():
-    cfg = PredictionConfig(
-        position_tolerance=0.5,
-        learning_rate=1.0,
-        match_radius=10.0,
-        velocity_clamp=1.0,
-    )
+def test_velocity_clamp_caps_learned_speed(monkeypatch):
+    monkeypatch.setattr(prediction, "LEARNING_RATE", 1.0)
+    monkeypatch.setattr(prediction, "MATCH_RADIUS", 20.0)  # 20 x 0.5 = 10 units
+    cfg = PredictionConfig(position_tolerance=0.5)
     bank = PredictorBank(cfg)
     bank.apply([report(1, 0.0, 0.0)], [])
     bank.advance()
     bank.apply([report(2, 8.0, 0.0)], [])  # raw LMS step would be v=8
     t = bank.tracks[2]
-    assert math.hypot(t.vx, t.vy) <= cfg.velocity_clamp * cfg.position_tolerance + 1e-12
+    vmax = prediction.VELOCITY_CLAMP * cfg.position_tolerance
+    assert math.hypot(t.vx, t.vy) <= vmax + 1e-12
 
 
 def test_died_in_place_retraction_vs_covered_track():
@@ -294,8 +285,9 @@ def test_died_in_place_retraction_vs_covered_track():
     assert out == []
 
 
-def test_coverage_lease_retracts_ghost_tracks():
-    cfg = PredictionConfig(position_tolerance=1.0, lease=2, heartbeat=10)
+def test_coverage_lease_retracts_ghost_tracks(monkeypatch):
+    monkeypatch.setattr(prediction, "LEASE", 2)
+    cfg = PredictionConfig(position_tolerance=1.0, heartbeat=10)
     bank = PredictorBank(cfg)
     bank.apply([report(1, 5.0, 5.0)], [])
     # Two consecutive epochs in which the track covers nothing.
@@ -310,7 +302,7 @@ def test_coverage_lease_retracts_ghost_tracks():
 
 
 def test_coverage_lease_reset_by_suppressed_join():
-    cfg = PredictionConfig(position_tolerance=1.0, lease=1, heartbeat=10)
+    cfg = PredictionConfig(position_tolerance=1.0, heartbeat=10)
     bank = PredictorBank(cfg)
     bank.apply([report(1, 5.0, 5.0)], [])
     for _ in range(4):

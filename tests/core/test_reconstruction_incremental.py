@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from repro.core import reconstruction
 from repro.core.contour_map import SinkReconstructor, build_contour_map
 from repro.core.reconstruction import ReconstructionCache, build_level_region
 from repro.core.reports import IsolineReport
@@ -115,8 +116,8 @@ def storm_epochs(n_pool, seed, epochs):
         yield reports_from(pool, active)
 
 
-def run_differential(epoch_iter, **cache_kwargs):
-    cache = ReconstructionCache(LEVEL, BOX, **cache_kwargs)
+def run_differential(epoch_iter):
+    cache = ReconstructionCache(LEVEL, BOX)
     saw_incremental = False
     for reports in epoch_iter:
         got = cache.update(reports)
@@ -190,19 +191,12 @@ class TestRetention:
             cache.stats.last_cells_recomputed
         assert retained > cache.stats.last_cells_total // 2
 
-    def test_threshold_zero_always_rebuilds(self):
+    def test_threshold_zero_always_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(reconstruction, "FULL_REBUILD_THRESHOLD", 0.0)
         it = drift_epochs(200, 11, epochs=3, churn=4)
-        cache, saw_incremental = run_differential(
-            it, full_rebuild_threshold=0.0
-        )
+        cache, saw_incremental = run_differential(it)
         assert not saw_incremental
         assert cache.stats.full_rebuilds == cache.stats.epochs
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ReconstructionCache(LEVEL, BOX, full_rebuild_threshold=1.5)
-        with pytest.raises(ValueError):
-            ReconstructionCache(LEVEL, BOX, full_rebuild_threshold=-0.1)
 
     def test_empty_reports_rejected(self):
         cache = ReconstructionCache(LEVEL, BOX)
@@ -218,15 +212,6 @@ class TestRetention:
         assert cache.region is None
         cache.update(first)
         assert cache.stats.last_full_rebuild
-
-    def test_unregulated_cache_matches_unregulated_build(self):
-        it = drift_epochs(300, 17, epochs=3, churn=4)
-        cache = ReconstructionCache(LEVEL, BOX, regulate=False)
-        for reports in it:
-            got = cache.update(reports)
-            want = build_level_region(LEVEL, reports, BOX, regulate=False)
-            assert_regions_identical(got, want)
-        assert got.regulation_stats == {"rule1": 0, "rule2": 0}
 
 
 # ----------------------------------------------------------------------

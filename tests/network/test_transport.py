@@ -84,10 +84,6 @@ class TestDegradationReport:
         r = DegradationReport(generated=10, delivered=4)
         assert r.delivery_rate() == pytest.approx(0.4)
         assert DegradationReport().delivery_rate() == 1.0
-        r.per_group = {14.0: [5, 2], 16.0: [0, 0]}
-        rates = r.group_delivery_rates()
-        assert rates[14.0] == pytest.approx(0.4)
-        assert rates[16.0] == 1.0
 
 
 class TestZeroFaultPath:

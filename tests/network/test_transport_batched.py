@@ -180,13 +180,16 @@ class TestBatchedMatchesScalar:
                 _differential(name, plan, TransportConfig.hardened())
 
     @pytest.mark.parametrize("name", PROTOCOLS)
-    def test_zero_fault_dead_relays_still_forward(self, name):
+    def test_zero_fault_dead_relays_go_silent(self, name):
         # With no engine, a routed relay whose ``alive`` flag was cleared
-        # without a tree rebuild still forwards, exactly as the walk
-        # treats it.
+        # without a tree rebuild strands its buffer and sends nothing,
+        # as it does under any fault plan; its children re-parent around
+        # it, exactly as the walk treats them.
         run = _differential(name, None, TransportConfig.hardened(), dead_relays=True)
         dead = ~_network(name, dead_relays=True).alive
-        assert run.costs.tx_bytes[dead].sum() > 0
+        assert dead.any()
+        assert run.costs.tx_bytes[dead].sum() == 0
+        assert run.degradation.repaired_orphans > 0
 
 
 def _forward_both_ways(make_frames, ops_per_forward=3):

@@ -164,12 +164,12 @@ class SendOutcome:
 def walk(transport: EpochTransport) -> Iterator[Hop]:
     """Yield one :class:`Hop` per routed non-sink node, children first.
 
-    With no fault engine every routed node forwards to its tree parent,
-    whatever the network's ``alive`` flags say.  Under a plan, node
-    events fire at each level boundary, crashed holders yield a strand,
-    and dead parents are locally repaired when the config allows (a
+    A node forwards only while it is alive: the network's ``alive``
+    flags, minus the fault engine's mid-epoch crashes under a plan (node
+    events fire at each level boundary).  A dead holder yields a strand,
+    and a dead parent is locally repaired when the config allows (a
     same-level neighbour is adoptable while its own slot has not
-    passed).
+    passed) -- with no engine exactly as under one.
     """
     tree = transport.network.tree
     # Deepest level first, ascending id within a level.
@@ -178,28 +178,28 @@ def walk(transport: EpochTransport) -> Iterator[Hop]:
     ).tolist()
     parents = tree.parent[order].tolist()
     engine = transport.engine
-    if engine is None:
-        for u, parent in zip(order, parents):
-            if u == tree.sink or parent < 0:
-                continue
-            yield Hop(u, parent)
-        return
+    flags = transport.network.alive
+
+    def alive(x: int) -> bool:
+        return engine.alive(x) if engine is not None else bool(flags[x])
 
     processed: set = set()  # nodes whose slot already passed
     current_level: Optional[int] = None
     for u, level, parent in zip(order, tree.level[order].tolist(), parents):
-        if current_level is None or level < current_level:
+        if engine is not None and (current_level is None or level < current_level):
             engine.advance_to_slot(level)
             current_level = level
         if u == tree.sink or parent < 0:
             continue
-        if not engine.alive(u):
+        if not alive(u):
             processed.add(u)
             yield Hop(u, None, STRAND_CRASHED)
             continue
-        if not engine.alive(parent):
+        if not alive(parent):
             parent = (
-                transport._reparent_with(u, lambda w: w not in processed)
+                transport._reparent_with(
+                    u, transport._alive(), lambda w: w not in processed
+                )
                 if transport.config.reparent
                 else None
             )
@@ -209,7 +209,8 @@ def walk(transport: EpochTransport) -> Iterator[Hop]:
             continue
         yield Hop(u, parent)
         processed.add(u)
-    engine.finish_epoch()
+    if engine is not None:
+        engine.finish_epoch()
 
 
 def send(

@@ -26,7 +26,6 @@ EPOCHS = 6
 #: compute (injected hangs each burn one deadline), fast retries.
 CHAOS_SUPERVISION = SupervisorConfig(
     compute_timeout=0.3,
-    probe_timeout=0.5,
     backoff_base=0.002,
     backoff_cap=0.01,
 )

@@ -72,6 +72,22 @@ def test_cli_serve_runs(capsys):
     assert "10 subscribers" in out
 
 
+def test_cli_serve_drives_every_epoch_to_every_subscriber(capsys):
+    """``repro serve`` end to end: ``run_load`` advances the session
+    through both epochs and each subscriber receives both deltas."""
+    rc = main(
+        [
+            "serve", "--nodes", "200", "--epochs", "2",
+            "--subscribers", "4", "--clients", "0",
+        ]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "2 epochs" in out
+    assert "4 subscribers, 8 deliveries" in out
+    assert "0 slow subscribers" in out
+
+
 def test_cli_serve_rejects_unknown_scenario(capsys):
     rc = main(["serve", "--scenario", "tsunami"])
     assert rc == 2

@@ -98,38 +98,3 @@ def test_sibling_sessions_stream_byte_identically_after_a_crash():
         await service.stop()
 
     asyncio.run(main())
-
-
-@pytest.mark.deadline(60)
-def test_clock_driven_crash_terminates_loop_and_notifies():
-    """Under ``start_all`` the epoch loop hits the crash on its own:
-    the loop must terminate (not spin on a dead session) and the
-    subscribers must still get the typed error; the sibling keeps
-    publishing on its clock, byte-identically."""
-    good = _good()
-    truth = _truth(good, 3)
-
-    async def main():
-        service = MapService(
-            [good, _bad()], epoch_interval=0.005, max_epochs=3
-        )
-        bad_sub = service.subscribe("bad", since_epoch=0)
-        ok_sub = service.subscribe("ok", since_epoch=0)
-        service.start_all()
-
-        with pytest.raises(SessionFailedError):
-            await asyncio.wait_for(bad_sub.__anext__(), timeout=10.0)
-
-        replayer = DeltaReplayer()
-        for e in range(1, 4):
-            message = await asyncio.wait_for(ok_sub.__anext__(), timeout=10.0)
-            assert message.epoch == e
-            replayer.apply(message)
-            assert replayer.render() == truth[e - 1]
-        ok_sub.close()
-
-        assert service.session("bad").failure is not None
-        assert service.session("ok").failure is None
-        await service.stop()
-
-    asyncio.run(main())

@@ -158,17 +158,3 @@ def test_shutdown_drains_backlog_then_ends_stream():
         assert await consumer == [1, 2, 3]
 
     asyncio.run(main())
-
-
-def test_session_clock_runs_and_stops():
-    config = SessionConfig(query_id="clock", scenario="steady", **CONFIG_KW)
-
-    async def main():
-        async with MapService([config], max_epochs=3) as service:
-            session = service.session("clock")
-            sub = service.subscribe("clock")
-            service.start_all()
-            assert [(await sub.__anext__()).epoch for _ in range(3)] == [1, 2, 3]
-            assert session.latest_epoch == 3
-
-    asyncio.run(main())

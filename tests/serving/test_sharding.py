@@ -28,9 +28,12 @@ def stream(n_shards: int):
     async def main():
         out = {}
         async with MapService(CONFIGS, n_shards=n_shards) as service:
+            sessions = list(service.sessions.values())
             for _ in range(EPOCHS):
-                results = await service.advance_all()
-                for qid, r in results.items():
+                # Concurrently across shards.
+                results = await asyncio.gather(*(s.advance() for s in sessions))
+                for session, r in zip(sessions, results):
+                    qid = session.config.query_id
                     out[(qid, r["epoch"])] = (r["delta"], r["records"], r["sink"])
         return out
 

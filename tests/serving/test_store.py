@@ -1,11 +1,13 @@
 """MapStore retention, eviction safety and cache transparency."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serving import store as store_mod
 from repro.serving.errors import EpochEvicted
 from repro.serving.store import MapStore
 from repro.serving.wire import decode_snapshot, encode_snapshot
@@ -39,7 +41,7 @@ class TestRetention:
         assert store.delta(3) == b"d3"
 
     def test_evicted_snapshot_raises_not_stale(self):
-        store = MapStore("q", retention=2, snapshot_cache_size=8)
+        store = MapStore("q", retention=2)
         _fill(store, 2)
         # Render and cache epoch 1, then push it out of retention.
         cached = store.snapshot(1)
@@ -60,13 +62,12 @@ class TestRetention:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             MapStore("q", retention=0)
-        with pytest.raises(ValueError):
-            MapStore("q", snapshot_cache_size=0)
 
 
 class TestCache:
-    def test_hit_and_miss_counters(self):
-        store = MapStore("q", snapshot_cache_size=2)
+    def test_hit_and_miss_counters(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "SNAPSHOT_CACHE_SIZE", 2)
+        store = MapStore("q")
         _fill(store, 3)
         store.snapshot(3)
         store.snapshot(3)
@@ -77,14 +78,6 @@ class TestCache:
         store.snapshot(3)
         assert store.cache_misses == 4
 
-    def test_disabled_cache_never_counts_hits(self):
-        store = MapStore("q", cache_enabled=False)
-        _fill(store, 2)
-        store.snapshot(2)
-        store.snapshot(2)
-        assert store.cache_hits == 0
-        assert store.cache_misses == 2
-
     @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -93,27 +86,31 @@ class TestCache:
         n_ops=st.integers(1, 60),
     )
     def test_cache_is_transparent(self, seed, retention, cache_size, n_ops):
-        """Enabled vs disabled caches serve identical bytes under any
-        interleaving of publishes and (possibly repeated) reads."""
+        """A cached store serves the bytes a fresh rendering of the
+        retained state gives, under any interleaving of publishes and
+        (possibly repeated) reads."""
         rng = random.Random(seed)
-        cached = MapStore("q", retention, cache_size, cache_enabled=True)
-        plain = MapStore("q", retention, cache_size, cache_enabled=False)
+        store = MapStore("q", retention)
+        published = {}
         epoch = 0
-        for _ in range(n_ops):
-            if epoch == 0 or rng.random() < 0.4:
-                epoch += 1
-                records = tuple(
-                    sorted(_record(rng.randrange(50)) for _ in range(rng.randrange(4)))
-                )
-                sink = rng.choice([None, rng.randrange(0xFFFF)])
-                for store in (cached, plain):
+        with mock.patch.object(store_mod, "SNAPSHOT_CACHE_SIZE", cache_size):
+            for _ in range(n_ops):
+                if epoch == 0 or rng.random() < 0.4:
+                    epoch += 1
+                    records = tuple(
+                        sorted(
+                            _record(rng.randrange(50))
+                            for _ in range(rng.randrange(4))
+                        )
+                    )
+                    sink = rng.choice([None, rng.randrange(0xFFFF)])
                     store.put_epoch(epoch, b"d%d" % epoch, records, sink)
-            else:
-                probe = rng.randrange(max(1, epoch - retention - 1), epoch + 2)
-                outcomes = []
-                for store in (cached, plain):
+                    published[epoch] = encode_snapshot(epoch, records, sink)
+                else:
+                    probe = rng.randrange(max(1, epoch - retention - 1), epoch + 2)
                     try:
-                        outcomes.append(store.snapshot(probe))
+                        served = store.snapshot(probe)
                     except EpochEvicted:
-                        outcomes.append("evicted")
-                assert outcomes[0] == outcomes[1]
+                        served = "evicted"
+                    retained = epoch - retention < probe <= epoch
+                    assert served == (published[probe] if retained else "evicted")

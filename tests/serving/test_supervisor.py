@@ -3,8 +3,8 @@
 Covers the self-healing machinery in isolation: the circuit breaker
 state machine, the chaos engine's determinism, each injected failure
 mode recovering to byte-identical payloads, genuine (non-injected)
-hang detection via the per-request deadline, worker heartbeat probes,
-and the close-paths that must never hang even with a wedged worker.
+hang detection via the per-request deadline, and the close-paths that
+must never hang even with a wedged worker.
 """
 
 import asyncio
@@ -27,7 +27,7 @@ from repro.serving.errors import (
     EpochComputeFailed,
     ShardUnavailableError,
 )
-from repro.serving import worker
+from repro.serving import supervisor, worker
 from repro.serving.router import MapService
 from repro.serving.session import SessionCompute, SessionConfig
 from repro.serving.supervisor import (
@@ -35,7 +35,7 @@ from repro.serving.supervisor import (
     SupervisedShardPool,
     SupervisorConfig,
 )
-from repro.serving.worker import ping, wedge
+from repro.serving.worker import wedge
 
 CONFIG_KW = dict(n_nodes=200, seed=3, radio_range=2.2)
 
@@ -43,7 +43,6 @@ CONFIG_KW = dict(n_nodes=200, seed=3, radio_range=2.2)
 #: ~10 ms), tiny backoff, default breaker.
 FAST = SupervisorConfig(
     compute_timeout=0.5,
-    probe_timeout=0.5,
     backoff_base=0.002,
     backoff_cap=0.01,
 )
@@ -360,46 +359,22 @@ def test_session_table_never_keeps_a_build_from_before_a_reset(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Heartbeat probes
-# ----------------------------------------------------------------------
-
-
-def test_ping_answers_with_pid():
-    assert isinstance(ping(), int) and ping() > 0
-
-
-@pytest.mark.deadline(60)
-def test_probe_detects_wedged_worker_and_ensure_healthy_heals():
-    async def main():
-        pool = SupervisedShardPool(1, supervision=FAST)
-        sup = pool.supervisors[0]
-        assert await sup.probe()  # fresh shard answers
-        sup.executor().submit(wedge, 5.0)
-        assert not await sup.probe()  # stuck behind the wedge
-        assert await sup.ensure_healthy()  # kill + respawn + re-probe
-        assert sup.health.restarts >= 1
-        assert (await pool.probe_all()) == [True]
-        pool.close()
-
-    asyncio.run(main())
-
-
-# ----------------------------------------------------------------------
 # Shutdown can never hang (the PR's close-regression satellite)
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.deadline(30)
-def test_supervised_pool_close_kills_wedged_worker():
+def test_supervised_pool_close_kills_wedged_worker(monkeypatch):
     """Regression: ``close()`` used to ``shutdown(wait=True)``, hanging
     forever behind a wedged worker.  Now stragglers are killed."""
+    monkeypatch.setattr(supervisor, "CLOSE_TIMEOUT", 1.0)
     pool = SupervisedShardPool(1, supervision=FAST)
     pool.supervisors[0].executor().submit(wedge, 60.0)
     time.sleep(0.2)  # let the worker pick the task up
     t0 = time.monotonic()
-    pool.close(timeout=1.0)
+    pool.close()
     assert time.monotonic() - t0 < 10.0
-    pool.close(timeout=1.0)  # idempotent
+    pool.close()  # idempotent
 
 
 @pytest.mark.deadline(30)
@@ -423,21 +398,19 @@ def test_service_stop_never_hangs_on_wedged_shard():
 # ----------------------------------------------------------------------
 
 
-def test_snapshot_goes_stale_while_degraded_then_live_again():
+def test_snapshot_goes_stale_while_degraded_then_live_again(monkeypatch):
     config = _config("stale")
-    # Every attempt at epoch 2 drops (max_attempts 4 < 5 events): the
+    # Every attempt at epoch 2 drops (MAX_ATTEMPTS 4 = 4 events): the
     # advance fails, the session degrades, and snapshot() serves the
     # retained epoch-1 payload tagged stale.
     plan = ChaosPlan(events=tuple(
         ChaosEvent(epoch=2, attempt=k, kind=DROP) for k in range(1, 5)
     ))
-    scfg = SupervisorConfig(
-        compute_timeout=0.5, backoff_base=0.002, backoff_cap=0.01,
-        breaker_threshold=10,  # keep the breaker out of this test
-    )
+    # Keep the breaker out of this test.
+    monkeypatch.setattr(supervisor, "BREAKER_THRESHOLD", 10)
 
     async def main():
-        service = MapService([config], supervision=scfg, chaos=plan)
+        service = MapService([config], supervision=FAST, chaos=plan)
         session = service.session("stale")
         await session.advance()
         live = service.snapshot("stale")
@@ -497,8 +470,8 @@ def test_supervisor_config_validation():
     with pytest.raises(ValueError):
         SupervisorConfig(compute_timeout=0)
     with pytest.raises(ValueError):
-        SupervisorConfig(max_attempts=0)
+        SupervisorConfig(backoff_base=-0.1)
     with pytest.raises(ValueError):
-        SupervisorConfig(breaker_threshold=0)
+        SupervisorConfig(backoff_cap=-0.1)
     with pytest.raises(ValueError):
         SupervisedShardPool(-1)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.codec import ReportCodec
+from repro.core.contour_map import build_contour_map
 from repro.core.query import ContourQuery
 from repro.core.reports import IsolineReport
 from repro.geometry import BoundingBox
@@ -139,11 +140,13 @@ class TestReplayer:
         assert DeltaReplayer().render() == encode_snapshot(0, [], None)
 
     def test_decoded_reports_and_map(self):
+        # A client decodes the rendered records with the codec and
+        # builds its map from them.
         rep = DeltaReplayer()
         recs = [record(5, 5), record(12, 5, level=16.0, angle=2.0)]
         rep.apply(ServedMessage(DELTA, 1, encode_delta(1, recs, [], None)))
-        reports = rep.reports(CODEC)
+        reports = [CODEC.decode(r) for r in decode_snapshot(rep.render()).records]
         assert len(reports) == 2
         assert {round(r.isolevel) for r in reports} == {14, 16}
-        cmap = rep.contour_map(CODEC, [14.0, 16.0], BOX)
+        cmap = build_contour_map(reports, [14.0, 16.0], BOX)
         assert cmap.levels == [14.0, 16.0]
